@@ -1,8 +1,8 @@
 """Pauli frame bookkeeping.
 
 A frame records, per qubit, whether a deferred X and/or Z correction is
-pending. Frames compose by xor and can be applied to a statevector to
-produce the corrected state (global phase from Y = iXZ is ignored; all
+pending. Frames can be applied to a statevector to produce the
+corrected state (global phase from Y = iXZ is ignored; all
 comparisons downstream are mod global phase).
 """
 
@@ -47,23 +47,6 @@ class PauliFrame:
         else:
             raise ValueError(f"bad pauli {pauli!r}")
         return PauliFrame(self.qubits, tuple(x), tuple(z))
-
-    def compose(self, other: "PauliFrame") -> "PauliFrame":
-        if other.qubits != self.qubits:
-            raise ValueError("frames cover different qubits")
-        return PauliFrame(
-            self.qubits,
-            tuple(a ^ b for a, b in zip(self.x_bits, other.x_bits)),
-            tuple(a ^ b for a, b in zip(self.z_bits, other.z_bits)),
-        )
-
-    def restricted(self, qubits: tuple[int, ...]) -> "PauliFrame":
-        idx = [self.qubits.index(q) for q in qubits]
-        return PauliFrame(
-            qubits,
-            tuple(self.x_bits[i] for i in idx),
-            tuple(self.z_bits[i] for i in idx),
-        )
 
     def is_identity(self) -> bool:
         return not any(self.x_bits) and not any(self.z_bits)

@@ -16,6 +16,9 @@ import numpy as np
 from ..exceptions import CapacityError
 
 MAX_QUBITS = 16
+# Widest reversible circuit whose whole truth table is built: 22 qubits
+# (adder-11) take about 0.8 GB of int64 columns.
+MAX_TABLE_QUBITS = 22
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -58,7 +61,8 @@ def apply_unitary(vec: np.ndarray, u: np.ndarray, qubits: Sequence[int],
     """Apply ``u`` to ``qubits`` of an n-qubit statevector.
 
     ``qubits`` are tensor positions under the MSB-first convention; the
-    matrix's own qubit 0 acts on ``qubits[0]``.
+    matrix's own qubit 0 acts on ``qubits[0]``. A ``(2^n, C)`` array is
+    C statevectors side by side; each column is transformed.
     """
     k = len(qubits)
     if u.shape != (1 << k, 1 << k):
@@ -68,12 +72,11 @@ def apply_unitary(vec: np.ndarray, u: np.ndarray, qubits: Sequence[int],
     for q in qubits:
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for {n} qubits")
-    t = vec.reshape((2,) * n)
+    t = vec.reshape((2,) * n + (-1,))
     t = np.moveaxis(t, qubits, range(k))
-    t = (u.reshape((2,) * (2 * k)) .reshape(1 << k, 1 << k)
-         @ t.reshape(1 << k, -1))
-    t = np.moveaxis(t.reshape((2,) * n), range(k), qubits)
-    return np.ascontiguousarray(t.reshape(-1))
+    t = u @ t.reshape(1 << k, -1)
+    t = np.moveaxis(t.reshape((2,) * n + (-1,)), range(k), qubits)
+    return np.ascontiguousarray(t.reshape(vec.shape))
 
 
 def apply_gate(vec: np.ndarray, name: str, qubits: Sequence[int],
@@ -138,7 +141,8 @@ def kron_with_ancillas(data: np.ndarray, data_qubits: Sequence[int],
     """Embed ``data`` on ``data_qubits`` into an n-qubit register whose
     remaining qubits start in the given computational/plus basis states.
 
-    ``ancilla_bits`` maps qubit index to "0", "1", or "+".
+    ``ancilla_bits`` maps qubit index to "0", "1", or "+". A trailing
+    column axis of ``data`` is kept: each column is embedded.
     """
     if sorted(list(data_qubits) + list(ancilla_bits)) != list(range(n)):
         raise ValueError("data and ancilla qubits must partition the register")
@@ -155,9 +159,10 @@ def kron_with_ancillas(data: np.ndarray, data_qubits: Sequence[int],
                 raise ValueError(f"bad ancilla spec {spec!r}")
             vec = np.kron(vec, single)
             order.append(q)
-    full = np.kron(vec, data)
+    cols = data.shape[1:]
+    full = np.multiply.outer(vec, data)
     order.extend(data_qubits)
     # order[i] is the qubit at tensor position i; transpose sends each home.
-    perm = [order.index(q) for q in range(n)]
-    t = full.reshape((2,) * n).transpose(perm)
-    return np.ascontiguousarray(t.reshape(-1))
+    perm = [order.index(q) for q in range(n)] + list(range(n, n + len(cols)))
+    t = full.reshape((2,) * n + cols).transpose(perm)
+    return np.ascontiguousarray(t.reshape((1 << n,) + cols))

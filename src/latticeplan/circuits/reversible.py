@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..exceptions import CapacityError
 from .circuit import Circuit, Gate
+from .gates import MAX_TABLE_QUBITS
 
 
 def _classical_ops(circuit: Circuit):
@@ -67,6 +69,9 @@ def run_reversible_table(circuit: Circuit) -> np.ndarray:
     inputs. Index bit order matches the statevector convention (qubit 0 is
     the most significant bit)."""
     n = circuit.num_qubits
+    if n > MAX_TABLE_QUBITS:
+        raise CapacityError(f"truth table of {n} qubits exceeds the cap of "
+                            f"{MAX_TABLE_QUBITS}")
     idx = np.arange(1 << n, dtype=np.int64)
     cols = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
     for op in _classical_ops(circuit):

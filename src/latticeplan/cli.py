@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -29,6 +30,18 @@ def _positive_int(minimum: int, what: str):
             raise argparse.ArgumentTypeError(f"{what} must be an integer")
         if value < minimum:
             raise argparse.ArgumentTypeError(f"{what} must be >= {minimum}")
+        return value
+    return parse
+
+
+def _finite_float(what: str):
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{what} must be a number")
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{what} must be finite")
         return value
     return parse
 
@@ -62,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser(
         "estimate", parents=[common], help="factory rates, counts, and qubit totals")
-    p_est.add_argument("--volume", type=float, default=1e8,
+    p_est.add_argument("--volume", type=_finite_float("volume"), default=1e8,
                        help="target Toffoli count for distance selection")
     p_est.add_argument("--d1", type=_positive_int(3, "d1"))
     p_est.add_argument("--d2", type=_positive_int(3, "d2"))
@@ -234,13 +247,14 @@ def _cmd_schedule(args) -> int:
     else:
         dag = scheduler.build_adder_dag(args.m)
         trace = scheduler.simulate_reaction_limited(dag, spec, assumptions, n)
+        depth = dag.measurement_depth
         summary = {
             "kind": "adder",
             "factories": n,
-            "toffoli_depth": dag.measurement_depth,
+            "toffoli_depth": depth,
         }
         lines = [
-            f"toffoli depth:  {dag.measurement_depth}",
+            f"toffoli depth:  {depth}",
             f"factories:      {n}",
         ]
     summary["makespan_ns"] = trace.makespan_ns

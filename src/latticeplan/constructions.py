@@ -16,8 +16,7 @@ import numpy as np
 
 from .circuits import (CGate, Circuit, Condition, FALSE, FrameUpdate, Gate,
                        GATES, Measure, basis_inputs, check_channel,
-                       check_channel_by_linearity, parse_condition,
-                       random_inputs, run_reversible_table)
+                       parse_condition, random_inputs, run_reversible_table)
 from .circuits.simulate import ChannelReport
 
 CZ_MATRIX = GATES["CZ"]
@@ -358,36 +357,21 @@ CONSTRUCTIONS = {
     "mux-skip": lambda: build_multiplexed_cz(False),
 }
 
-_LINEARITY_THRESHOLD = 12
-
-
-def _merge_reports(a: ChannelReport, b: ChannelReport) -> ChannelReport:
-    return ChannelReport(
-        ok=a.ok and b.ok,
-        inputs_checked=a.inputs_checked + b.inputs_checked,
-        branches_checked=a.branches_checked + b.branches_checked,
-        truncated_branches=a.truncated_branches + b.truncated_branches,
-        max_amplitude_error=max(a.max_amplitude_error,
-                                b.max_amplitude_error),
-        failures=a.failures + b.failures,
-    )
+# Kept only so that bench/tracing.py can patch this name; nothing here
+# calls it.
+check_channel_by_linearity = check_channel
 
 
 def verify_construction(construction: Construction, *, random_count: int = 3,
                         seed: int = 11, atol: float = 1e-9) -> ChannelReport:
-    """Exhaustive channel check of a construction: all basis inputs plus
-    seeded random inputs, every measurement branch. Wide circuits check
-    the random inputs by linear reconstruction from the basis runs."""
+    """Exact channel check of a construction: one Kraus operator per
+    outcome string, each compared with the target, plus all basis inputs
+    and seeded random inputs evaluated through them."""
     c = construction
     k = len(c.input_qubits)
-    inputs = basis_inputs(k) + random_inputs(k, random_count, seed=seed)
-    if c.circuit.num_qubits <= _LINEARITY_THRESHOLD:
-        return check_channel(c.circuit, c.target, inputs=inputs,
-                             output_qubits=c.output_qubits, atol=atol)
-    # wide circuits: enumerate branches once per basis input, check all
-    # inputs (basis ones included) by linear reconstruction
-    return check_channel_by_linearity(
-        c.circuit, c.target, inputs=inputs,
+    return check_channel(
+        c.circuit, c.target,
+        inputs=basis_inputs(k) + random_inputs(k, random_count, seed=seed),
         output_qubits=c.output_qubits, atol=atol)
 
 

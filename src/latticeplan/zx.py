@@ -439,12 +439,6 @@ TARGETS: dict[str, np.ndarray] = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
-class FixtureCase:
-    choices: dict[str, str]
-    target: str
-
-
 def run_fixture(text: str, *,
                 max_nodes: int = 80) -> list[tuple[str, bool]]:
     """Check a fixture document: a diagram with choice stubs plus cases

@@ -1,11 +1,17 @@
-"""Branch enumeration semantics: ordering, probabilities, stubs, frames."""
+"""Branch enumeration semantics: ordering, probabilities, stubs, frames,
+and the Kraus operators of the same walk."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeplan.circuits import (CGate, Circuit, FrameUpdate, Gate, Measure,
                                   TRUE, basis_state, check_channel,
-                                  enumerate_branches, parse_condition)
+                                  enumerate_branches, parse_condition,
+                                  random_state)
+from latticeplan.circuits.gates import GATE_ARITY
+from latticeplan.circuits.simulate import kraus_operators
 from latticeplan.exceptions import CapacityError, ContractError
 
 
@@ -196,3 +202,77 @@ def test_check_channel_rejects_surviving_mismatch():
                 initial_states=("?", "0"))
     with pytest.raises(ContractError):
         check_channel(c, np.eye(2))
+
+
+# ------------------------------------------------- Kraus operators
+
+
+@st.composite
+def adaptive_circuits(draw):
+    """Random adaptive circuits on up to four qubits: gates, conditional
+    gates, measurements in random (and outcome-flipped) bases and frame
+    updates, with at least one input qubit."""
+    n = draw(st.integers(1, 4))
+    inits = draw(st.lists(st.sampled_from("01+?"), min_size=n, max_size=n))
+    inits[draw(st.integers(0, n - 1))] = "?"
+    alive = list(range(n))
+    keys: list[str] = []
+    ops: list = []
+
+    def condition():
+        if not keys:
+            return TRUE
+        return tuple(tuple(draw(st.lists(st.sampled_from(keys), max_size=2,
+                                         unique=True)))
+                     for _ in range(draw(st.integers(0, 2))))
+
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(("gate", "cgate", "measure", "frame")))
+        if kind in ("gate", "cgate") and alive:
+            name = draw(st.sampled_from(
+                [g for g, a in GATE_ARITY.items() if a <= len(alive)]))
+            qubits = tuple(draw(st.permutations(alive))[:GATE_ARITY[name]])
+            ops.append(Gate(name, qubits) if kind == "gate"
+                       else CGate(name, qubits, condition()))
+        elif kind == "measure" and alive:
+            qubit = draw(st.sampled_from(alive))
+            ops.append(Measure(qubit, f"m{len(keys)}",
+                               draw(st.sampled_from("zx")), condition()))
+            keys.append(f"m{len(keys)}")
+            alive.remove(qubit)
+        elif kind == "frame" and alive:
+            ops.append(FrameUpdate(draw(st.sampled_from(alive)),
+                                   draw(st.sampled_from("XZ")), condition()))
+    # a frame update must name a qubit that survives to the end
+    ops = [op for op in ops
+           if not isinstance(op, FrameUpdate) or op.qubit in alive]
+    return Circuit(num_qubits=n, operations=tuple(ops),
+                   initial_states=tuple(inits))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          database=None)
+@given(adaptive_circuits(), st.integers(0, 2 ** 32 - 1))
+def test_kraus_operators_match_branches(circuit, seed):
+    survivors = circuit.surviving_qubits
+    bits, kraus, _ = kraus_operators(circuit, survivors)
+    k = kraus.shape[2]
+    gram = np.einsum("rdi,rdj->ij", kraus.conj(), kraus)
+    assert np.allclose(gram, np.eye(k), atol=1e-9)
+
+    psi = random_state(k.bit_length() - 1, np.random.default_rng(seed))
+    out = {b: kraus[r] @ psi for r, b in enumerate(bits)}
+    for branch in enumerate_branches(circuit, psi):
+        if branch.truncated:
+            stub = [v for b, v in out.items()
+                    if b.startswith(branch.outcome_bits)]
+            assert sum(np.vdot(v, v).real for v in stub) < 1e-9
+            continue
+        v = out.pop(branch.outcome_bits)
+        p = np.vdot(v, v).real
+        assert np.isclose(p, branch.probability, atol=1e-9)
+        if p > 1e-6:
+            want = branch.final_frame.apply(branch.final_state.amplitudes)
+            assert np.allclose(v / np.sqrt(p), want, atol=1e-7)
+    # outcome strings live only in the batch weigh nothing for psi
+    assert all(np.vdot(v, v).real < 1e-9 for v in out.values())

@@ -73,6 +73,17 @@ def test_estimate_config_gate_error_too_high(tmp_path, capsys):
     assert "threshold" in err
 
 
+@pytest.mark.parametrize("volume", ["nan", "inf", "-inf"])
+def test_estimate_rejects_non_finite_volume(capsys, volume):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["estimate", f"--volume={volume}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "latticeplan estimate: error: argument --volume: "
+        "volume must be finite"]
+
+
 def test_missing_config_file(capsys):
     code, _, err = run(capsys, "estimate", "--config", "no/such/file.cfg")
     assert code == 2
@@ -103,6 +114,16 @@ def test_verify_unknown_name(capsys):
     code, _, err = run(capsys, "verify", "teleport")
     assert code == 2
     assert "unknown construction" in err
+
+
+@pytest.mark.parametrize("name,qubits", [("adder-13", 26), ("adder-20", 40)])
+def test_verify_adder_too_wide_for_a_table(capsys, name, qubits):
+    # the cap is checked before the 2^qubits table is allocated
+    code, out, err = run(capsys, "verify", name)
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: truth table of {qubits} qubits exceeds the cap "
+                   "of 22\n")
 
 
 def test_verify_json(capsys):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from latticeplan.circuits import (Circuit, Gate, basis_state,
-                                  enumerate_branches, run_reversible,
-                                  run_reversible_table)
+from latticeplan.circuits import (MAX_TABLE_QUBITS, Circuit, Gate,
+                                  basis_state, enumerate_branches,
+                                  run_reversible, run_reversible_table)
+from latticeplan.exceptions import CapacityError
 
 
 def _classical(num_qubits, *ops):
@@ -80,3 +81,9 @@ def test_unbalanced_h_rejected():
 def test_bad_input_length():
     with pytest.raises(ValueError):
         run_reversible(_classical(2, Gate("X", (0,))), "101")
+
+
+def test_table_width_cap():
+    # raised before any of the 2^23 rows is allocated
+    with pytest.raises(CapacityError):
+        run_reversible_table(Circuit(MAX_TABLE_QUBITS + 1, ()))
