@@ -22,12 +22,15 @@ import numpy as np
 from ..exceptions import CapacityError, ContractError
 from .circuit import (CGate, Circuit, FrameUpdate, Gate, Measure,
                       evaluate_condition)
-from .frame import PauliFrame
+from .frame import PauliFrame, apply_pauli
 from .gates import (MAX_QUBITS, StateVector, apply_gate, basis_state,
                     kron_with_ancillas)
 
 PROB_FLOOR = 1e-12
 ATOL = 1e-9
+# The Kraus walk carries a 2^n x 2^k block for n qubits and k inputs; the
+# constructions need at most 2^18 values, and 2^22 take 64 MiB.
+MAX_KRAUS_VALUES = 1 << 22
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -220,29 +223,20 @@ def kraus_operators(circuit: Circuit, output_qubits: tuple[int, ...]
         raise ContractError(
             f"circuit leaves qubits {survivors}, expected {output_qubits}")
     k = len(input_qubits_of(circuit))
+    if 1 << (circuit.num_qubits + k) > MAX_KRAUS_VALUES:
+        raise CapacityError(
+            f"{circuit.num_qubits} qubits with {k} inputs exceed the cap "
+            f"of {MAX_KRAUS_VALUES} values for the Kraus walk")
     leaves = _walk(circuit, initial_vector(
         circuit, np.eye(1 << k, dtype=np.complex128)), PROB_FLOOR)
     live = [leaf for leaf in leaves if leaf.block is not None]
     n = len(survivors)
-    x_mask = np.zeros(len(live), dtype=np.int64)
-    z_mask = np.zeros(len(live), dtype=np.int64)
+    masks = np.zeros((2, len(live)), dtype=np.int64)  # the X and Z masks
     for r, leaf in enumerate(live):
         for qubit, pauli in leaf.flips:
             bit = 1 << (n - 1 - survivors.index(qubit))
-            if pauli == "X":
-                x_mask[r] ^= bit
-            else:
-                z_mask[r] ^= bit
-    # Z then X per qubit, as PauliFrame.apply:
-    # (X^x Z^z v)[i] = (-1)^popcount((i ^ x) & z) v[i ^ x]
-    src = np.arange(1 << n)[None, :] ^ x_mask[:, None]
-    odd = src & z_mask[:, None]
-    parity = np.zeros_like(odd)
-    for b in range(n):
-        parity ^= (odd >> b) & 1
-    kraus = np.stack([leaf.block for leaf in live])
-    kraus = (1 - 2 * parity)[:, :, None] \
-        * np.take_along_axis(kraus, src[:, :, None], axis=1)
+            masks["XZ".index(pauli), r] ^= bit
+    kraus = apply_pauli(np.stack([leaf.block for leaf in live]), *masks)
     perm = [survivors.index(q) for q in output_qubits]
     kraus = kraus.reshape((len(live),) + (2,) * n + (1 << k,))
     kraus = kraus.transpose([0] + [1 + p for p in perm] + [n + 1])

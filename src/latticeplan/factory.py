@@ -112,7 +112,8 @@ def ccz_rate(spec: FactorySpec,
                      * spec.t_states_per_ccz / spec.t1_factory_count)
     effective = min(level2, level1)
     limiting = "level2" if level2 <= level1 else "level1"
-    n = factories_for_reaction_limit(spec, assumptions)
+    # one CCZ state per reaction time
+    n = math.ceil(1000 / assumptions.reaction_time_us / effective)
     return ThroughputReport(
         level2_rate_khz=level2,
         level1_bound_khz=level1,
@@ -127,13 +128,7 @@ def factories_for_reaction_limit(spec: FactorySpec,
                                  assumptions: PhysicalAssumptions) -> int:
     """One CCZ state per reaction time: ceil(reaction rate / factory
     rate)."""
-    cycle = assumptions.cycle_time_us
-    level2 = 1000 / (spec.ccz_depth_cycles * cycle)
-    level1 = 1000 / (spec.t1_depth_cycles * cycle
-                     * spec.t_states_per_ccz / spec.t1_factory_count)
-    effective = min(level2, level1)
-    reaction_rate = 1000 / assumptions.reaction_time_us
-    return math.ceil(reaction_rate / effective)
+    return ccz_rate(spec, assumptions).factories_needed
 
 
 def logical_error_rate(d: int, gate_error: float, *,

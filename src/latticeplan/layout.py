@@ -12,7 +12,7 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .exceptions import CapacityError
 from .factory import FactorySpec
@@ -82,6 +82,35 @@ def data_row_capacity(width: int, n_lanes: int, stride: int = 2) -> int:
     return math.ceil(usable / stride)
 
 
+def _paint(grid: list[list[str]], x: int, y: int, w: int, h: int,
+           role: str) -> None:
+    """Set the w x h rectangle with top-left tile (x, y) to ``role``."""
+    for row in grid[y:y + h]:
+        row[x:x + w] = [role] * w
+
+
+def _neighbours(plan: Floorplan, x: int, y: int
+                ) -> Iterator[tuple[int, int]]:
+    """The up-to-four edge neighbours of (x, y) inside the grid."""
+    for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+        if 0 <= nx < plan.width and 0 <= ny < plan.height:
+            yield nx, ny
+
+
+def _flood(plan: Floorplan, seeds: list[tuple[int, int]],
+           roles: set[str]) -> set[tuple[int, int]]:
+    """The seeds and every tile reachable from them through neighbours
+    whose role is in ``roles``."""
+    reached = set(seeds)
+    stack = list(seeds)
+    while stack:
+        for nx, ny in _neighbours(plan, *stack.pop()):
+            if plan.grid[ny][nx] in roles and (nx, ny) not in reached:
+                reached.add((nx, ny))
+                stack.append((nx, ny))
+    return reached
+
+
 def plan_adder_layout(bits: int, spec: FactorySpec, n_factories: int, *,
                       stride: int = 2, fixup_size: tuple[int, int] = (4, 3),
                       max_data_rows: int = 40) -> Floorplan:
@@ -111,70 +140,45 @@ def plan_adder_layout(bits: int, spec: FactorySpec, n_factories: int, *,
             f"{bits}-bit adder needs {total_rows} data rows but only "
             f"{2 * max_data_rows} fit; need width >= {need_w} "
             f"(have {width})")
-    sequence = []
-    for i in range(total_rows):
-        sequence.append("data_row_target" if i % 2 == 0
-                        else "data_row_offset")
+    sequence = ["data_row_target" if i % 2 == 0 else "data_row_offset"
+                for i in range(total_rows)]
     top_rows = sequence[:math.ceil(total_rows / 2)]
     bottom_rows = sequence[math.ceil(total_rows / 2):]
 
     fw, fh = fixup_size
-    fixup_band_h = fh
-    height = (len(top_rows) + FACTORY_H + fixup_band_h + MAJ_STRIP_H
-              + fixup_band_h + FACTORY_H + len(bottom_rows))
+    front_band = len(top_rows)
+    front_fixups = front_band + FACTORY_H
+    maj_top = front_fixups + fh
+    back_fixups = maj_top + MAJ_STRIP_H
+    back_band = back_fixups + fh
+    height = back_band + FACTORY_H + len(bottom_rows)
     grid = [["unused"] * width for _ in range(height)]
-
-    y = 0
-    for role in top_rows:
-        for x in range(width):
-            grid[y][x] = role
-        y += 1
-    front_band = y
-    y += FACTORY_H
-    front_fixups = y
-    for row in range(front_fixups, front_fixups + fixup_band_h):
-        for x in range(width):
-            grid[row][x] = "gap"
-    y += fixup_band_h
-    maj_top = y
-    for row in range(maj_top, maj_top + MAJ_STRIP_H):
-        for x in range(width):
-            grid[row][x] = "maj_area"
-    y += MAJ_STRIP_H
-    back_fixups = y
-    for row in range(back_fixups, back_fixups + fixup_band_h):
-        for x in range(width):
-            grid[row][x] = "gap"
-    y += fixup_band_h
-    back_band = y
-    y += FACTORY_H
-    for role in bottom_rows:
-        for x in range(width):
-            grid[y][x] = role
-        y += 1
+    for y, role in enumerate(top_rows):
+        _paint(grid, 0, y, width, 1, role)
+    _paint(grid, 0, front_fixups, width, fh, "gap")
+    _paint(grid, 0, maj_top, width, MAJ_STRIP_H, "maj_area")
+    _paint(grid, 0, back_fixups, width, fh, "gap")
+    for y, role in enumerate(bottom_rows, start=back_band + FACTORY_H):
+        _paint(grid, 0, y, width, 1, role)
 
     factories: list[tuple[int, int]] = []
     fixup_boxes: list[tuple[int, int, int, int]] = []
-    for side, count, band_y, fix_y in (
-            ("front", front, front_band, front_fixups),
-            ("back", back, back_band, back_fixups)):
+    for count, band_y, fix_y in ((front, front_band, front_fixups),
+                                 (back, back_band, back_fixups)):
         for i in range(count):
             fx = 16 * i
             factories.append((fx, band_y))
-            for yy in range(band_y, band_y + FACTORY_H):
-                for xx in range(fx, fx + FACTORY_W):
-                    grid[yy][xx] = "ccz_factory"
+            _paint(grid, fx, band_y, FACTORY_W, FACTORY_H, "ccz_factory")
             # fixup boxes sit on the factory's MAJ-facing side
             for off in (2, 8):
                 fixup_boxes.append((fx + off, fix_y, fw, fh))
-                for yy in range(fix_y, fix_y + fh):
-                    for xx in range(fx + off, fx + off + fw):
-                        grid[yy][xx] = "fixup_box"
+                _paint(grid, fx + off, fix_y, fw, fh, "fixup_box")
 
+    # lanes cut every band but the MAJ strip
+    below = maj_top + MAJ_STRIP_H
     for x in lanes:
-        for row in range(height):
-            if grid[row][x] not in ("maj_area",):
-                grid[row][x] = "gap"
+        _paint(grid, x, 0, 1, maj_top, "gap")
+        _paint(grid, x, below, 1, height - below, "gap")
 
     return Floorplan(
         width=width,
@@ -220,15 +224,11 @@ def plan_lookup_layout(register_rows: int, spec: FactorySpec, *,
                "_": "access_row"}
     height = len(pattern) + iteration_rows
     grid = [["unused"] * width for _ in range(height)]
-    for yy, sym in enumerate(pattern):
-        for x in range(1, width - 1):
-            grid[yy][x] = role_of[sym]
-    for yy in range(len(pattern), height):
-        for x in range(1, width - 1):
-            grid[yy][x] = "maj_area"
-    for yy in range(height):
-        grid[yy][0] = "access_corridor"
-        grid[yy][width - 1] = "access_corridor"
+    for y, sym in enumerate(pattern):
+        _paint(grid, 1, y, width - 2, 1, role_of[sym])
+    _paint(grid, 1, len(pattern), width - 2, iteration_rows, "maj_area")
+    _paint(grid, 0, 0, 1, height, "access_corridor")
+    _paint(grid, width - 1, 0, 1, height, "access_corridor")
     return Floorplan(
         width=width,
         height=height,
@@ -249,25 +249,14 @@ def plan_lookup_layout(register_rows: int, spec: FactorySpec, *,
 def _rectangles(plan: Floorplan, role: str) -> list[tuple[int, int, int, int]]:
     """Connected components of a role, each required to fill its bounding
     box; returns (x, y, w, h) sorted."""
-    seen = [[False] * plan.width for _ in range(plan.height)]
+    seen: set[tuple[int, int]] = set()
     rects = []
     for y in range(plan.height):
         for x in range(plan.width):
-            if seen[y][x] or plan.grid[y][x] != role:
+            if plan.grid[y][x] != role or (x, y) in seen:
                 continue
-            stack = [(x, y)]
-            seen[y][x] = True
-            tiles = []
-            while stack:
-                cx, cy = stack.pop()
-                tiles.append((cx, cy))
-                for nx, ny in ((cx + 1, cy), (cx - 1, cy),
-                               (cx, cy + 1), (cx, cy - 1)):
-                    if 0 <= nx < plan.width and 0 <= ny < plan.height \
-                            and not seen[ny][nx] \
-                            and plan.grid[ny][nx] == role:
-                        seen[ny][nx] = True
-                        stack.append((nx, ny))
+            tiles = _flood(plan, [(x, y)], {role})
+            seen |= tiles
             xs = [t[0] for t in tiles]
             ys = [t[1] for t in tiles]
             w = max(xs) - min(xs) + 1
@@ -281,19 +270,14 @@ def _rectangles(plan: Floorplan, role: str) -> list[tuple[int, int, int, int]]:
 
 
 def validate_factories(plan: Floorplan) -> None:
-    """Every factory is an exact 15x8 rectangle, annotations agree with
-    the grid, total area is 120 per factory, and each factory touches a
-    gap tile."""
+    """Every factory is a filled rectangle matching its 15x8 annotation
+    (which fixes its size and the total factory area), and each factory
+    touches a gap tile."""
     rects = _rectangles(plan, "ccz_factory")
     expected = sorted((x, y, FACTORY_W, FACTORY_H)
                       for x, y in plan.factories)
     if rects != expected:
         raise ValueError("factory rectangles disagree with annotations")
-    for x, y, w, h in rects:
-        if (w, h) != (FACTORY_W, FACTORY_H):
-            raise ValueError(f"factory at ({x}, {y}) is {w}x{h}")
-    if plan.count("ccz_factory") != len(rects) * FACTORY_W * FACTORY_H:
-        raise ValueError("factory area mismatch")
     for x, y, w, h in rects:
         if not _touches(plan, x, y, w, h, ("gap",)):
             raise ValueError(f"factory at ({x}, {y}) has no adjacent gap")
@@ -370,39 +354,16 @@ def validate_overlap(plan: Floorplan) -> None:
 def validate_reachability(plan: Floorplan) -> None:
     """Flood fill from the MAJ strip across gap tiles: every data row
     must border a reached tile."""
-    walkable = {"gap", "maj_area"}
-    reached = [[False] * plan.width for _ in range(plan.height)]
-    stack = []
-    for y in range(plan.height):
-        for x in range(plan.width):
-            if plan.grid[y][x] == "maj_area":
-                reached[y][x] = True
-                stack.append((x, y))
-    if not stack:
+    seeds = [(x, y) for y in range(plan.height) for x in range(plan.width)
+             if plan.grid[y][x] == "maj_area"]
+    if not seeds:
         raise ValueError("no MAJ strip to route to")
-    while stack:
-        cx, cy = stack.pop()
-        for nx, ny in ((cx + 1, cy), (cx - 1, cy),
-                       (cx, cy + 1), (cx, cy - 1)):
-            if 0 <= nx < plan.width and 0 <= ny < plan.height \
-                    and not reached[ny][nx] \
-                    and plan.grid[ny][nx] in walkable:
-                reached[ny][nx] = True
-                stack.append((nx, ny))
+    reached = _flood(plan, seeds, {"gap", "maj_area"})
     data_roles = {"data_row_target", "data_row_offset"}
     for y in range(plan.height):
-        row_roles = set(plan.grid[y])
-        if not (row_roles & data_roles):
-            continue
-        ok = False
-        for x in range(plan.width):
-            if plan.grid[y][x] not in data_roles:
-                continue
-            for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-                if 0 <= nx < plan.width and 0 <= ny < plan.height \
-                        and reached[ny][nx]:
-                    ok = True
-        if not ok:
+        row = [x for x in range(plan.width) if plan.grid[y][x] in data_roles]
+        if row and not any(tile in reached for x in row
+                           for tile in _neighbours(plan, x, y)):
             raise ValueError(f"data row {y} cannot reach the MAJ strip")
 
 

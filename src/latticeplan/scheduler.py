@@ -7,6 +7,7 @@ assumptions must convert to whole nanoseconds.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import json
 import math
 from fractions import Fraction
@@ -38,7 +39,12 @@ class ScheduleTrace:
 @dataclasses.dataclass(frozen=True)
 class ToffoliDag:
     """Toffoli-level dependency graph. Nodes are indices 0..n-1; an edge
-    (a, b) means b waits for a's reaction-time decision."""
+    (a, b) means b waits for a's reaction-time decision.
+
+    Construction builds, in one pass over the edges and one Kahn sweep,
+    the predecessor lists, the topological order (smallest ready node
+    first) and the measurement depth.
+    """
 
     num_nodes: int
     edges: tuple[tuple[int, int], ...]
@@ -46,44 +52,43 @@ class ToffoliDag:
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
             raise ValueError("dag needs at least one node")
+        preds: list[list[int]] = [[] for _ in range(self.num_nodes)]
+        succ: list[list[int]] = [[] for _ in range(self.num_nodes)]
         for a, b in self.edges:
             if not (0 <= a < self.num_nodes and 0 <= b < self.num_nodes):
                 raise ValueError(f"edge ({a}, {b}) out of range")
             if a == b:
                 raise ValueError("self edge")
-        self.topological_order()
-
-    def predecessors(self, node: int) -> list[int]:
-        return [a for a, b in self.edges if b == node]
-
-    def topological_order(self) -> list[int]:
-        indeg = [0] * self.num_nodes
-        succ: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for a, b in self.edges:
-            indeg[b] += 1
+            preds[b].append(a)
             succ[a].append(b)
-        ready = sorted(i for i in range(self.num_nodes) if indeg[i] == 0)
+        indeg = [len(p) for p in preds]
+        depth = [1] * self.num_nodes
+        ready = [i for i in range(self.num_nodes) if indeg[i] == 0]
         order = []
         while ready:
-            n = ready.pop(0)
+            n = heapq.heappop(ready)
             order.append(n)
             for m in succ[n]:
+                depth[m] = max(depth[m], depth[n] + 1)
                 indeg[m] -= 1
                 if indeg[m] == 0:
-                    ready.append(m)
-            ready.sort()
+                    heapq.heappush(ready, m)
         if len(order) != self.num_nodes:
             raise ValueError("dependency cycle")
-        return order
+        object.__setattr__(self, "_preds", tuple(map(tuple, preds)))
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_depth", max(depth))
+
+    def predecessors(self, node: int) -> list[int]:
+        return list(self._preds[node])
+
+    def topological_order(self) -> list[int]:
+        return list(self._order)
 
     @property
     def measurement_depth(self) -> int:
         """Longest chain of nodes (nodes counted, not edges)."""
-        depth = [1] * self.num_nodes
-        for n in self.topological_order():
-            for a in self.predecessors(n):
-                depth[n] = max(depth[n], depth[a] + 1)
-        return max(depth)
+        return self._depth
 
 
 def build_adder_dag(bits: int) -> ToffoliDag:

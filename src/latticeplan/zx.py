@@ -7,12 +7,15 @@ measurement whose basis has not been picked yet: plugging it x-colored
 removes it. Evaluation contracts the diagram to the matrix it denotes,
 inputs to outputs; comparisons are up to boundary Paulis and a scalar,
 matching what Pauli-frame corrections can absorb.
+
+The Hadamard and the CZ and CCZ targets are the matrices of
+``circuits.gates.GATES``, and the boundary Paulis are applied by
+``circuits.frame.apply_pauli``, the same code the statevector checks use.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 
@@ -20,8 +23,8 @@ import numpy as np
 
 from .circuits.circuit import (CGate, Circuit, FrameUpdate, Gate, Measure,
                                evaluate_condition)
-
-_H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
+from .circuits.frame import apply_pauli
+from .circuits.gates import GATES
 
 KINDS = ("z", "x", "h", "b", "choice")
 
@@ -122,7 +125,8 @@ def _spider_tensor(kind: str, phase: int, degree: int) -> np.ndarray:
     t[(1,) * degree] = np.exp(1j * math.pi * phase / 4)
     if kind == "x":
         for axis in range(degree):
-            t = np.moveaxis(np.tensordot(_H, t, axes=([1], [axis])), 0, axis)
+            t = np.moveaxis(
+                np.tensordot(GATES["H"], t, axes=([1], [axis])), 0, axis)
     return t
 
 
@@ -159,7 +163,7 @@ def evaluate(graph: ZxGraph, *,
             tensors.append((_spider_tensor(node.kind, node.phase, len(legs)),
                             legs))
         elif node.kind == "h":
-            tensors.append((_H.copy(), legs))
+            tensors.append((GATES["H"].copy(), legs))
         else:
             tensors.append((np.eye(2, dtype=np.complex128),
                             [legs[0], ext_legs[nid]]))
@@ -209,48 +213,33 @@ def evaluate(graph: ZxGraph, *,
         t.reshape(1 << len(graph.outputs), 1 << len(graph.inputs)))
 
 
-_PAULIS = (
-    np.eye(2, dtype=np.complex128),
-    np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    np.array([[1, 0], [0, -1]], dtype=np.complex128),
-    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-)
-
-
-def _apply_pauli_rows(mat: np.ndarray, string: tuple[int, ...]) -> np.ndarray:
-    n = len(string)
-    t = mat.reshape((2,) * n + (mat.shape[1],))
-    for q, p in enumerate(string):
-        if p:
-            t = np.moveaxis(
-                np.tensordot(_PAULIS[p], t, axes=([1], [q])), 0, q)
-    return t.reshape(mat.shape)
-
-
 def equiv_mod_pauli_scalar(actual: np.ndarray, expected: np.ndarray,
                            atol: float = 1e-8) -> bool:
     """True when actual = scalar * P_out @ expected @ P_in for some Pauli
-    strings. Identity is tried first, so exact-mod-scalar matches return
-    immediately."""
+    strings.
+
+    Up to a sign, P_out @ expected @ P_in is the string P_out (x) P_in
+    applied to the flattened matrix, so the candidates are all (x, z)
+    masks over its index, identity first: exact-mod-scalar matches
+    return at once. X.Z stands in for Y; the fitted scalar absorbs the
+    difference.
+    """
     if actual.shape != expected.shape:
         return False
-    n_out = int(round(math.log2(actual.shape[0])))
-    n_in = int(round(math.log2(actual.shape[1])))
-    for p_out in itertools.product(range(4), repeat=n_out):
-        cand_rows = _apply_pauli_rows(expected, p_out)
-        for p_in in itertools.product(range(4), repeat=n_in):
-            # right-multiplication; Pauli transposes differ by a sign,
-            # which the fitted scalar absorbs
-            cand = _apply_pauli_rows(cand_rows.T, p_in).T \
-                if p_in != (0,) * n_in else cand_rows
-            denom = float(np.vdot(cand, cand).real)
-            if denom < atol:
-                continue
-            scale = np.vdot(cand, actual) / denom
-            if abs(scale) < atol:
-                continue
-            if np.allclose(actual, scale * cand, atol=atol):
-                return True
+    target = actual.reshape(-1)
+    flat = expected.reshape(-1)
+    size = flat.size
+    denom = float(np.vdot(flat, flat).real)
+    if denom < atol:
+        return False
+    z = np.arange(size)
+    for x in range(size):
+        cand = apply_pauli(np.broadcast_to(flat, (size, size)),
+                           np.full(size, x), z)
+        scale = (cand.conj() @ target / denom)[:, None]
+        close = np.isclose(target, scale * cand, atol=atol).all(axis=1)
+        if np.any(close & (np.abs(scale[:, 0]) >= atol)):
+            return True
     return False
 
 
@@ -434,8 +423,8 @@ def zx_from_circuit(circuit: Circuit, outcomes: dict[str, int],
 
 TARGETS: dict[str, np.ndarray] = {
     "I2": np.eye(4, dtype=np.complex128),
-    "CZ": np.diag([1, 1, 1, -1]).astype(np.complex128),
-    "CCZ": np.diag([1] * 7 + [-1]).astype(np.complex128),
+    "CZ": GATES["CZ"],
+    "CCZ": GATES["CCZ"],
 }
 
 

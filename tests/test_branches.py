@@ -1,6 +1,8 @@
 """Branch enumeration semantics: ordering, probabilities, stubs, frames,
 and the Kraus operators of the same walk."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,20 @@ def test_capacity_guardrail():
                 initial_states=("0",) * n)
     with pytest.raises(CapacityError):
         enumerate_branches(c)
+
+
+def test_kraus_width_cap_raises_before_allocating():
+    # 16 qubits, 12 of them inputs: a 2^28-value (4 GiB) block
+    c = Circuit(num_qubits=16, operations=(Measure(15, "m"),),
+                initial_states=("?",) * 12 + ("0",) * 4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="Kraus"):
+            kraus_operators(c, tuple(range(15)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_check_channel_detects_wrong_unitary():

@@ -9,6 +9,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeplan import scheduler as S
 from latticeplan.factory import FactorySpec, PhysicalAssumptions
@@ -288,3 +290,52 @@ def test_export_jsonl_deterministic_and_parseable():
         record = json.loads(line)
         assert record["kind"] in S.EVENT_KINDS
         assert isinstance(record["t_ns"], int)
+
+
+# ------------------------------------------------- dag against a reference
+
+
+def _reference_order(n, edges):
+    """Kahn's algorithm re-sorting the ready list on every pop."""
+    indeg = [sum(b == m for _, b in edges) for m in range(n)]
+    ready = sorted(m for m in range(n) if indeg[m] == 0)
+    order = []
+    while ready:
+        node = ready.pop(0)
+        order.append(node)
+        for a, b in edges:
+            if a == node:
+                indeg[b] -= 1
+                if indeg[b] == 0:
+                    ready.append(b)
+        ready.sort()
+    return order
+
+
+@st.composite
+def random_dags(draw):
+    """Edges (a, b) with a before b in a random relabelling, so the
+    smallest-ready-first order is not just 0..n-1."""
+    n = draw(st.integers(1, 25))
+    label = draw(st.permutations(range(n)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=40)) \
+        if pairs else []
+    return n, tuple((label[i], label[j]) for i, j in chosen)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(random_dags())
+def test_dag_matches_reference(case):
+    n, edges = case
+    dag = S.ToffoliDag(n, edges)
+    order = _reference_order(n, edges)
+    assert dag.topological_order() == order
+    for node in range(n):
+        assert dag.predecessors(node) == [a for a, b in edges if b == node]
+    # longest chain, counted in nodes, over the reference order
+    depth = {}
+    for node in order:
+        depth[node] = 1 + max((depth[a] for a, b in edges if b == node),
+                              default=0)
+    assert dag.measurement_depth == max(depth.values())

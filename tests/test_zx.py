@@ -1,14 +1,18 @@
 """Diagram evaluation against matrix targets."""
 
+import functools
 import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeplan import constructions, zx
-from latticeplan.circuits import Circuit, Gate, enumerate_branches, plus_state
+from latticeplan.circuits import (GATES, Circuit, Gate, enumerate_branches,
+                                  plus_state)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -229,3 +233,20 @@ def test_ccz_gadget_phases_sum_per_wire():
     state = zx.evaluate(g, max_nodes=30)
     expect = (zx.TARGETS["CCZ"] @ plus_state(3)).reshape(-1, 1)
     assert zx.equiv_mod_pauli_scalar(state, expect)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 2), st.integers(1, 2),
+       st.lists(st.sampled_from("IXYZ"), min_size=4, max_size=4),
+       st.integers(0, 2 ** 32 - 1))
+def test_equiv_mod_pauli_scalar_accepts_every_pauli_sandwich(
+        n_out, n_in, paulis, seed):
+    """c * P_out @ E @ P_in matches E for random E, Paulis (Y included)
+    and nonzero c."""
+    rng = np.random.default_rng(seed)
+    shape = (1 << n_out, 1 << n_in)
+    e = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    p_out = functools.reduce(np.kron, [GATES[p] for p in paulis[:n_out]])
+    p_in = functools.reduce(np.kron, [GATES[p] for p in paulis[2:2 + n_in]])
+    c = rng.uniform(0.1, 10) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    assert zx.equiv_mod_pauli_scalar(c * p_out @ e @ p_in, e)
