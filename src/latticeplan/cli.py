@@ -220,6 +220,7 @@ def _cmd_schedule(args) -> int:
         lookup = scheduler.LookupSpec(entries=args.lookup, output_bits=args.m,
                                       access_sides=args.sides)
         trace = scheduler.phase_timeline(lookup, args.m, spec, assumptions, n)
+        makespan = trace.makespan_ns
         summary = {
             "kind": "phase_timeline",
             "factories": n,
@@ -232,22 +233,29 @@ def _cmd_schedule(args) -> int:
     elif args.lookup is not None:
         lookup = scheduler.LookupSpec(entries=args.lookup, output_bits=1,
                                       access_sides=args.sides)
-        trace = scheduler.simulate_lookup(lookup, spec, assumptions, n)
+        # the summary comes from the closed form; events only for --out
+        pace = scheduler.lookup_pace(lookup, spec, assumptions, n)
+        trace = scheduler.simulate_lookup(lookup, spec, assumptions, n) \
+            if args.out else None
+        makespan = pace.makespan_ns
         summary = {
             "kind": "lookup",
             "factories": n,
-            "binding": trace.summary["binding"],
-            "toffoli_count": trace.summary["toffoli_count"],
+            "binding": pace.binding,
+            "toffoli_count": pace.steps,
         }
         lines = [
-            f"toffoli count:  {trace.summary['toffoli_count']}",
+            f"toffoli count:  {pace.steps}",
             f"factories:      {n}",
-            f"binding:        {trace.summary['binding']}",
+            f"binding:        {pace.binding}",
         ]
     else:
-        dag = scheduler.build_adder_dag(args.m)
-        trace = scheduler.simulate_reaction_limited(dag, spec, assumptions, n)
-        depth = dag.measurement_depth
+        # the summary comes from the closed form; events only for --out
+        depth = scheduler.adder_toffolis(args.m)
+        makespan = scheduler.adder_makespan(args.m, spec, assumptions, n)
+        trace = scheduler.simulate_reaction_limited(
+            scheduler.build_adder_dag(args.m), spec, assumptions, n) \
+            if args.out else None
         summary = {
             "kind": "adder",
             "factories": n,
@@ -257,8 +265,8 @@ def _cmd_schedule(args) -> int:
             f"toffoli depth:  {depth}",
             f"factories:      {n}",
         ]
-    summary["makespan_ns"] = trace.makespan_ns
-    lines.append(f"makespan:       {format_ms(trace.makespan_ns)}")
+    summary["makespan_ns"] = makespan
+    lines.append(f"makespan:       {format_ms(makespan)}")
     if args.json:
         print(json.dumps(summary, sort_keys=True))
     else:
@@ -315,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:

@@ -375,21 +375,52 @@ def verify_construction(construction: Construction, *, random_count: int = 3,
         output_qubits=c.output_qubits, atol=atol)
 
 
+def _read_wires(index: np.ndarray, n: int, wires) -> np.ndarray:
+    """The integer held little-endian on `wires` of each basis index of n
+    qubits (qubit 0 is the most significant bit)."""
+    out = np.zeros_like(index)
+    for k, w in enumerate(wires):
+        out |= ((index >> (n - 1 - w)) & 1) << k
+    return out
+
+
+def _write_wires(value: np.ndarray, n: int, wires) -> np.ndarray:
+    """The basis-index bits that hold `value` little-endian on `wires`."""
+    out = np.zeros_like(value)
+    for k, w in enumerate(wires):
+        out |= ((value >> k) & 1) << (n - 1 - w)
+    return out
+
+
+def compare_adder_table(spec: AdderSpec,
+                        table: np.ndarray) -> tuple[bool, str]:
+    """Check a truth table of the adder against integer addition on every
+    (carry-in, a, b) triple at once; a failure names the first bad triple
+    in the order carry-in, then a, then b."""
+    m, n = spec.bits, spec.num_qubits
+    # triple i is (c_in, a, b) = (i >> 2m-1, the m-1 bits above b, low m)
+    triple = np.arange(1 << (2 * m), dtype=np.int64)
+    c_in = triple >> (2 * m - 1)
+    a = (triple >> m) & ((1 << (m - 1)) - 1)
+    b = triple & ((1 << m) - 1)
+    fields = ((spec.c_wire,), spec.i_wires, spec.t_wires)
+    # the fields are disjoint bits, so their sum is the input index
+    out = table[sum(_write_wires(v, n, w)
+                    for v, w in zip((c_in, a, b), fields))]
+    got = [_read_wires(out, n, w) for w in fields]
+    want = [c_in, a, (a + b + c_in) & ((1 << m) - 1)]
+    bad = np.any([g != w for g, w in zip(got, want)], axis=0)
+    if bad.any():
+        i = int(bad.argmax())
+        return False, (f"adder-{m}: {c_in[i]},{a[i]},{b[i]} -> "
+                       f"{tuple(int(g[i]) for g in got)}, "
+                       f"want {tuple(int(w[i]) for w in want)}")
+    return True, f"adder-{m}: {1 << (2 * m)} inputs exact"
+
+
 def verify_adder(bits: int) -> tuple[bool, str]:
     """Exhaustive classical check of the adder against integer addition."""
     circuit, spec = build_cuccaro_adder(bits)
     if circuit.gate_count("CCZ") != spec.toffoli_count:
         return False, f"adder-{bits}: wrong CCZ count"
-    table = run_reversible_table(circuit)
-    n = spec.num_qubits
-    for c_in in (0, 1):
-        for a in range(1 << (bits - 1)):
-            for b in range(1 << bits):
-                src = pack_adder_input(spec, c_in, a, b)
-                out = format(table[int(src, 2)], f"0{n}b")
-                got = unpack_adder_output(spec, out)
-                want = (c_in, a, (a + b + c_in) % (1 << bits))
-                if got != want:
-                    return False, (f"adder-{bits}: {c_in},{a},{b} -> {got}, "
-                                   f"want {want}")
-    return True, f"adder-{bits}: {1 << (2 * bits)} inputs exact"
+    return compare_adder_table(spec, run_reversible_table(circuit))

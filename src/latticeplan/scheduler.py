@@ -2,38 +2,110 @@
 
 Event times are exact integers in nanoseconds; durations derived from the
 assumptions must convert to whole nanoseconds.
+
+A trace is columnar. Each `EventBlock` holds the events of one kind as
+int64 arrays: times, a tie-break and the payload columns. One
+`np.lexsort` over (time, kind, tie-break) orders the whole trace, and
+`export_jsonl` formats each block from one key-sorted template per kind.
+The lookup and the serial chain also have closed forms, so the lookup
+and adder summaries and the phase timeline need no events at all.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
-import json
-import math
 from fractions import Fraction
+from typing import NamedTuple
 
+import numpy as np
+
+from .exceptions import CapacityError
 from .factory import FactorySpec, PhysicalAssumptions
 
 EVENT_KINDS = ("state_ready", "consume", "reaction_decision",
                "cnot_window", "phase_boundary")
 
+# Largest trace the simulators build. Holding and exporting it takes about
+# 300 bytes per event: a 786433-entry lookup (3 * 2^20 events) written by
+# `schedule --out` peaks at 0.93 GB.
+MAX_TRACE_EVENTS = 3 << 20
 
-@dataclasses.dataclass(frozen=True)
-class Event:
+
+class Event(NamedTuple):
+    """One row of a trace, as iteration over `EventTable` yields it."""
+
     t_ns: int
     kind: str
     payload: dict
 
-    def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {self.kind!r}")
+
+@dataclasses.dataclass(frozen=True)
+class EventBlock:
+    """Events of one kind. `tie` orders the events of this kind that share
+    a time; `columns` are the payload, int64 arrays or arrays of plain
+    identifier strings (written without JSON escaping)."""
+
+    kind: str
+    t_ns: np.ndarray
+    tie: np.ndarray
+    columns: dict[str, np.ndarray]
+
+    def lines(self) -> list[str]:
+        """Each event as the line ``json.dumps(event, sort_keys=True)``
+        writes, from one template."""
+        cols = {"t_ns": self.t_ns, **self.columns}
+        fields = {name: '"%s"' if col.dtype.kind == "U" else "%d"
+                  for name, col in cols.items()}
+        fields["kind"] = f'"{self.kind}"'
+        keys = sorted(fields)
+        template = "{" + ", ".join(f'"{k}": {fields[k]}' for k in keys) + "}"
+        values = [cols[k].tolist() for k in keys if k != "kind"]
+        return [template % row for row in zip(*values)]
+
+
+class EventTable:
+    """The events of a trace: one block per kind and the permutation that
+    sorts their concatenation by (time, kind, tie-break)."""
+
+    def __init__(self, blocks: list[EventBlock]) -> None:
+        self.blocks = tuple(blocks)
+        sizes = [len(b.t_ns) for b in self.blocks]
+        kinds = np.repeat([EVENT_KINDS.index(b.kind) for b in self.blocks],
+                          sizes)
+        self.order = np.lexsort((
+            np.concatenate([b.tie for b in self.blocks]), kinds,
+            np.concatenate([b.t_ns for b in self.blocks])))
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __iter__(self):
+        rows = []
+        for b in self.blocks:
+            names = list(b.columns)
+            values = zip(b.t_ns.tolist(),
+                         *(b.columns[n].tolist() for n in names))
+            rows += [Event(t, b.kind, dict(zip(names, payload)))
+                     for t, *payload in values]
+        return (rows[i] for i in self.order.tolist())
 
 
 @dataclasses.dataclass(frozen=True)
 class ScheduleTrace:
-    events: tuple[Event, ...]
+    events: EventTable
     makespan_ns: int
     summary: dict
+
+
+def _check_trace_size(n_events: int, t_max: int) -> None:
+    """Refuse, before allocating, a trace over the event cap or with a
+    time past int64."""
+    if n_events > MAX_TRACE_EVENTS:
+        raise CapacityError(f"trace of {n_events} events exceeds the cap of "
+                            f"{MAX_TRACE_EVENTS}")
+    if t_max >= 1 << 63:
+        raise CapacityError(f"event time {t_max} ns does not fit in int64")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,11 +163,17 @@ class ToffoliDag:
         return self._depth
 
 
-def build_adder_dag(bits: int) -> ToffoliDag:
-    """Ripple-carry adder Toffoli chain: 2*bits - 3 serial nodes."""
+def adder_toffolis(bits: int) -> int:
+    """Toffoli count of the ripple-carry adder, 2*bits - 3, which is also
+    its depth: the Toffolis form one serial chain."""
     if bits < 2:
         raise ValueError("adder needs at least 2 bits")
-    n = 2 * bits - 3
+    return 2 * bits - 3
+
+
+def build_adder_dag(bits: int) -> ToffoliDag:
+    """Ripple-carry adder Toffoli chain: 2*bits - 3 serial nodes."""
+    n = adder_toffolis(bits)
     return ToffoliDag(num_nodes=n,
                       edges=tuple((k, k + 1) for k in range(n - 1)))
 
@@ -107,39 +185,84 @@ def _ns(us: Fraction) -> int:
     return int(ns)
 
 
+def _ceil_div(a, b):
+    return -(-a // b)
+
+
+def _timing(spec: FactorySpec, assumptions: PhysicalAssumptions,
+            n_factories: int) -> tuple[int, int]:
+    """The factory depth and the reaction time in nanoseconds."""
+    if n_factories < 1:
+        raise ValueError("need at least one factory")
+    reaction = _ns(assumptions.reaction_time_us)
+    return _ns(spec.ccz_depth_cycles * assumptions.cycle_time_us), reaction
+
+
+def chain_decision(j: int, depth_ns: int, reaction_ns: int,
+                   n_factories: int) -> int:
+    """Decision time of the j-th node (from 1) of a serial chain fed by
+    `n_factories` factories, the closed form of the recurrence
+    dec_j = max(dec_{j-1}, D * ceil(j / F)) + R with dec_0 = 0.
+
+    Unrolled, dec_j is the largest D * ceil(i / F) + (j - i + 1) * R over
+    i <= j. Within one batch b = ceil(i / F) its first node i = (b-1)F + 1
+    is the largest, and D * b + (j - (b - 1) * F) * R is linear in b, so
+    the largest term is at b = 1 or at b = ceil(j / F)."""
+    b = _ceil_div(j, n_factories)
+    return max(depth_ns + j * reaction_ns,
+               depth_ns * b + (j - (b - 1) * n_factories) * reaction_ns)
+
+
+def adder_makespan(bits: int, spec: FactorySpec,
+                   assumptions: PhysicalAssumptions, n_factories: int) -> int:
+    """Makespan of the ripple-carry adder from the chain's closed form, the
+    one `simulate_reaction_limited` finds on `build_adder_dag(bits)`."""
+    depth_ns, reaction = _timing(spec, assumptions, n_factories)
+    return chain_decision(adder_toffolis(bits), depth_ns, reaction,
+                          n_factories)
+
+
 def simulate_reaction_limited(dag: ToffoliDag, spec: FactorySpec,
                               assumptions: PhysicalAssumptions,
                               n_factories: int) -> ScheduleTrace:
     """Consume one CCZ state per node; each node's Pauli-frame decision
     lands one reaction time after its state and all predecessor decisions
     are available. Factories run flat out with unbounded buffering."""
-    if n_factories < 1:
-        raise ValueError("need at least one factory")
-    reaction = _ns(assumptions.reaction_time_us)
-    depth_ns = _ns(spec.ccz_depth_cycles * assumptions.cycle_time_us)
-    decision: dict[int, int] = {}
-    events: list[Event] = []
-    for j, node in enumerate(dag.topological_order(), start=1):
-        ready = depth_ns * math.ceil(j / n_factories)
+    depth_ns, reaction = _timing(spec, assumptions, n_factories)
+    n = dag.num_nodes
+    _check_trace_size(3 * n, depth_ns * _ceil_div(n, n_factories)
+                      + n * reaction)
+    # with F >= n every state is in the first batch and factory j - 1
+    # makes state j, so min(F, n) gives the same columns in int64
+    f = min(n_factories, n)
+    state = np.arange(1, n + 1, dtype=np.int64)
+    ready = depth_ns * _ceil_div(state, f)
+    order = dag.topological_order()
+    decision = [0] * n
+    consume = []
+    for node, t_ready in zip(order, ready.tolist()):
         preds = max((decision[p] for p in dag.predecessors(node)), default=0)
-        consume = max(preds, ready)
-        decide = consume + reaction
-        decision[node] = decide
-        factory = (j - 1) % n_factories
-        events.append(Event(ready, "state_ready",
-                            {"state": j, "factory": factory}))
-        events.append(Event(consume, "consume",
-                            {"node": node, "state": j}))
-        events.append(Event(decide, "reaction_decision", {"node": node}))
-    makespan = max(decision.values())
-    busy = dag.num_nodes * depth_ns
-    events.sort(key=lambda e: (e.t_ns, EVENT_KINDS.index(e.kind),
-                               sorted(e.payload.items())))
+        t = max(preds, t_ready)
+        consume.append(t)
+        decision[node] = t + reaction
+    makespan = max(decision)
+    nodes = np.array(order, dtype=np.int64)
+    consume = np.array(consume, dtype=np.int64)
+    # a state_ready tie shares a batch, where factory order is state order
+    events = EventTable([
+        EventBlock("state_ready", ready, state,
+                   {"state": state, "factory": (state - 1) % f}),
+        EventBlock("consume", consume, nodes,
+                   {"node": nodes, "state": state}),
+        EventBlock("reaction_decision", consume + reaction, nodes,
+                   {"node": nodes}),
+    ])
+    busy = n * depth_ns
     return ScheduleTrace(
-        events=tuple(events),
+        events=events,
         makespan_ns=makespan,
         summary={
-            "nodes": dag.num_nodes,
+            "nodes": n,
             "n_factories": n_factories,
             "factory_depth_ns": depth_ns,
             "reaction_ns": reaction,
@@ -178,6 +301,56 @@ class LookupSpec:
             # unary-iteration cost model: one Toffoli per entry after the
             # first
             object.__setattr__(self, "toffoli_count", self.entries - 1)
+        if self.toffoli_count < 1:
+            raise ValueError("toffoli_count must be positive")
+
+
+@dataclasses.dataclass(frozen=True)
+class LookupPace:
+    """Pace of a serial unary iteration. Step k (from 1) starts at
+    depth_ns + (k - 1) * period_ns, the period being the slowest of the
+    access window, the reaction time and the supply interval; the lookup
+    ends one reaction after its last step starts."""
+
+    steps: int
+    depth_ns: int
+    access_window_ns: int
+    reaction_ns: int
+    supply_interval_ns: int
+
+    @property
+    def period_ns(self) -> int:
+        return max(self.access_window_ns, self.reaction_ns,
+                   self.supply_interval_ns)
+
+    @property
+    def binding(self) -> str:
+        if self.period_ns == self.access_window_ns:
+            return "access"
+        if self.period_ns == self.reaction_ns:
+            return "reaction"
+        return "supply"
+
+    @property
+    def makespan_ns(self) -> int:
+        return (self.depth_ns + (self.steps - 1) * self.period_ns
+                + self.reaction_ns)
+
+
+def lookup_pace(lookup: LookupSpec, spec: FactorySpec,
+                assumptions: PhysicalAssumptions,
+                n_factories: int) -> LookupPace:
+    """The lookup's step pace: hallway windows take d2 cycles, shared
+    between the hallways when both sides are available; factories hand
+    out one state per depth / F on average."""
+    depth_ns, reaction = _timing(spec, assumptions, n_factories)
+    window = _ns(Fraction(spec.d2) * assumptions.cycle_time_us)
+    return LookupPace(
+        steps=lookup.toffoli_count,
+        depth_ns=depth_ns,
+        access_window_ns=_ceil_div(window, lookup.access_sides),
+        reaction_ns=reaction,
+        supply_interval_ns=_ceil_div(depth_ns, n_factories))
 
 
 def simulate_lookup(lookup: LookupSpec, spec: FactorySpec,
@@ -187,47 +360,35 @@ def simulate_lookup(lookup: LookupSpec, spec: FactorySpec,
     reaction decision, and one multi-target CNOT window over the output
     register. The slowest of the three paces the whole lookup; hallway
     windows alternate sides when both are available."""
-    if n_factories < 1:
-        raise ValueError("need at least one factory")
-    reaction = _ns(assumptions.reaction_time_us)
-    depth_ns = _ns(spec.ccz_depth_cycles * assumptions.cycle_time_us)
-    access = math.ceil(_ns(Fraction(spec.d2) * assumptions.cycle_time_us)
-                       / lookup.access_sides)
-    supply = math.ceil(depth_ns / n_factories)
-    period = max(access, reaction, supply)
-    if period == access:
-        binding = "access"
-    elif period == reaction:
-        binding = "reaction"
+    pace = lookup_pace(lookup, spec, assumptions, n_factories)
+    steps = pace.steps
+    _check_trace_size(4 * steps, pace.makespan_ns)
+    k = np.arange(1, steps + 1, dtype=np.int64)
+    start = pace.depth_ns + (k - 1) * pace.period_ns
+    ready = pace.depth_ns * _ceil_div(k, min(n_factories, steps))
+    if lookup.access_sides == 1:
+        corridor = np.full(steps, "left")
     else:
-        binding = "supply"
-    events: list[Event] = []
-    t = depth_ns  # first state out of the factories
-    for k in range(1, lookup.toffoli_count + 1):
-        ready = depth_ns * math.ceil(k / n_factories)
-        events.append(Event(ready, "state_ready", {"state": k}))
-        events.append(Event(t, "consume", {"step": k, "state": k}))
-        events.append(Event(t + reaction, "reaction_decision", {"step": k}))
-        corridor = "left" if (lookup.access_sides == 1 or k % 2 == 1) \
-            else "right"
-        events.append(Event(t, "cnot_window",
-                            {"step": k, "corridor": corridor}))
-        if k < lookup.toffoli_count:
-            t += period
-    makespan = t + reaction
-    events.sort(key=lambda e: (e.t_ns, EVENT_KINDS.index(e.kind),
-                               sorted(e.payload.items())))
+        corridor = np.where(k % 2 == 1, "left", "right")
+    events = EventTable([
+        EventBlock("state_ready", ready, k, {"state": k}),
+        EventBlock("consume", start, k, {"step": k, "state": k}),
+        EventBlock("reaction_decision", start + pace.reaction_ns, k,
+                   {"step": k}),
+        EventBlock("cnot_window", start, k,
+                   {"step": k, "corridor": corridor}),
+    ])
     return ScheduleTrace(
-        events=tuple(events),
-        makespan_ns=makespan,
+        events=events,
+        makespan_ns=pace.makespan_ns,
         summary={
             "entries": lookup.entries,
-            "toffoli_count": lookup.toffoli_count,
-            "binding": binding,
-            "period_ns": period,
-            "access_window_ns": access,
-            "reaction_ns": reaction,
-            "supply_interval_ns": supply,
+            "toffoli_count": steps,
+            "binding": pace.binding,
+            "period_ns": pace.period_ns,
+            "access_window_ns": pace.access_window_ns,
+            "reaction_ns": pace.reaction_ns,
+            "supply_interval_ns": pace.supply_interval_ns,
         },
     )
 
@@ -241,39 +402,40 @@ def phase_timeline(lookup: LookupSpec, adder_bits: int, spec: FactorySpec,
     """Lookup-then-add pipeline: spread the address register, run the
     lookup, ripple carries up to the apex and back down, then a
     measurement-based uncompute that consumes no Toffolis. Durations sum
-    exactly to the makespan."""
+    exactly to the makespan. The lookup and the adder chain come from
+    their closed forms; the chain is split at the apex node's decision."""
+    nodes = adder_toffolis(adder_bits)
     window = _ns(Fraction(spec.d2) * assumptions.cycle_time_us)
-    look = simulate_lookup(lookup, spec, assumptions, n_factories)
-    add = simulate_reaction_limited(build_adder_dag(adder_bits), spec,
-                                    assumptions, n_factories)
-    # split the adder chain at the apex node's decision
-    apex = adder_bits - 2
-    apex_decision = max(e.t_ns for e in add.events
-                        if e.kind == "reaction_decision"
-                        and e.payload["node"] == apex)
+    pace = lookup_pace(lookup, spec, assumptions, n_factories)
+    apex = chain_decision(adder_bits - 1, pace.depth_ns, pace.reaction_ns,
+                          n_factories)
+    last = chain_decision(nodes, pace.depth_ns, pace.reaction_ns,
+                          n_factories)
     durations = {
         "spread": window,
-        "lookup": look.makespan_ns,
-        "add_up": apex_decision,
-        "add_down": add.makespan_ns - apex_decision,
+        "lookup": pace.makespan_ns,
+        "add_up": apex,
+        "add_down": last - apex,
         "uncompute": window,
     }
     toffolis = {
         "spread": 0,
-        "lookup": look.summary["toffoli_count"],
+        "lookup": pace.steps,
         "add_up": adder_bits - 1,
         "add_down": adder_bits - 2,
         "uncompute": 0,
     }
-    events = []
-    t = 0
-    for phase in PHASES:
-        t += durations[phase]
-        events.append(Event(t, "phase_boundary",
-                            {"phase": phase, "toffolis": toffolis[phase]}))
+    makespan = sum(durations.values())
+    _check_trace_size(len(PHASES), makespan)
+    ends = np.cumsum([durations[p] for p in PHASES])
+    events = EventTable([EventBlock(
+        "phase_boundary", ends, np.arange(len(PHASES)),
+        {"phase": np.array(PHASES),
+         "toffolis": np.array([toffolis[p] for p in PHASES]),
+         })])
     return ScheduleTrace(
-        events=tuple(events),
-        makespan_ns=t,
+        events=events,
+        makespan_ns=makespan,
         summary={
             "durations_ns": durations,
             "toffolis": toffolis,
@@ -285,7 +447,5 @@ def phase_timeline(lookup: LookupSpec, adder_bits: int, spec: FactorySpec,
 def export_jsonl(trace: ScheduleTrace) -> str:
     """One event per line, keys sorted, so identical traces serialize to
     identical bytes."""
-    lines = [json.dumps({"t_ns": e.t_ns, "kind": e.kind, **e.payload},
-                        sort_keys=True)
-             for e in trace.events]
-    return "\n".join(lines) + "\n"
+    lines = [line for block in trace.events.blocks for line in block.lines()]
+    return "\n".join([lines[i] for i in trace.events.order.tolist()]) + "\n"

@@ -2,10 +2,11 @@
 
 import json
 import pathlib
+import tracemalloc
 
 import pytest
 
-from latticeplan import cli
+from latticeplan import cli, scheduler
 
 FIXTURE = str(pathlib.Path(__file__).parent.parent / "fixtures"
               / "delayed_choice_cz.json")
@@ -218,6 +219,63 @@ def test_schedule_writes_trace(tmp_path, capsys):
     assert len(lines) == 3 * 5  # three events per node, five nodes
     for line in lines:
         assert "t_ns" in json.loads(line)
+
+
+def test_schedule_lookup_summary_builds_no_events(monkeypatch, capsys):
+    def no_events(*_):
+        raise AssertionError("a summary needs no events")
+    monkeypatch.setattr(scheduler, "simulate_lookup", no_events)
+    code, out, _ = run(capsys, "schedule", "--lookup", "1000000000",
+                       "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "kind": "lookup", "factories": 14, "binding": "access",
+        "toffoli_count": 999999999,
+        "makespan_ns": 135000 + (999999999 - 1) * 13500 + 10000}
+
+
+def test_schedule_adder_summary_builds_no_dag(monkeypatch, capsys):
+    def no_events(*_):
+        raise AssertionError("a summary needs no events")
+    monkeypatch.setattr(scheduler, "build_adder_dag", no_events)
+    monkeypatch.setattr(scheduler, "simulate_reaction_limited", no_events)
+    code, out, _ = run(capsys, "schedule", "--m", "100000000", "--json")
+    assert code == 0
+    # 14 factories keep up: first decision at depth + reaction, then one
+    # reaction per node
+    assert json.loads(out) == {
+        "kind": "adder", "factories": 14, "toffoli_depth": 199999997,
+        "makespan_ns": 145000 + (199999997 - 1) * 10000}
+
+
+def test_schedule_lookup_over_the_event_cap(tmp_path, capsys):
+    out_file = tmp_path / "trace.jsonl"
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "schedule", "--lookup", "1000000000",
+                           "--out", str(out_file))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert err == (f"error: trace of {4 * 999999999} events exceeds the cap "
+                   f"of {scheduler.MAX_TRACE_EVENTS}\n")
+    assert not out_file.exists()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("command", [
+    ["schedule", "--m", "4"],
+    ["schedule", "--lookup", "16"],
+    ["layout", "--m", "2", "--factories", "2"],
+])
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_out_is_one_error_line(tmp_path, capsys, command, where):
+    out = tmp_path if where == "directory" else tmp_path / "no" / "t.jsonl"
+    code, _, err = run(capsys, *command, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out) in err
 
 
 # ------------------------------------------------------------- layout

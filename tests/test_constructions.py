@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeplan import constructions as C
 from latticeplan.circuits import (CGate, Circuit, basis_inputs,
@@ -190,6 +192,46 @@ def test_adder_vectorized_oracle():
     for k, w in enumerate(spec.t_wires):
         expect |= ((s >> k) & 1) << (n - 1 - w)
     assert np.array_equal(table, expect)
+
+
+def _loop_adder_check(spec, table):
+    """The per-triple loop the vectorised check replaced."""
+    n, m = spec.num_qubits, spec.bits
+    for c_in in (0, 1):
+        for a in range(1 << (m - 1)):
+            for b in range(1 << m):
+                src = C.pack_adder_input(spec, c_in, a, b)
+                got = C.unpack_adder_output(
+                    spec, format(table[int(src, 2)], f"0{n}b"))
+                want = (c_in, a, (a + b + c_in) % (1 << m))
+                if got != want:
+                    return False, (f"adder-{m}: {c_in},{a},{b} -> {got}, "
+                                   f"want {want}")
+    return True, f"adder-{m}: {1 << (2 * m)} inputs exact"
+
+
+def test_adder_table_check_names_first_bad_triple():
+    circuit, spec = C.build_cuccaro_adder(4)
+    table = run_reversible_table(circuit)
+    assert C.compare_adder_table(spec, table) == \
+        (True, "adder-4: 256 inputs exact")
+    table[[5, 6]] = table[[6, 5]]
+    result = C.compare_adder_table(spec, table)
+    assert result == (False, "adder-4: 0,0,12 -> (0, 4, 8), want (0, 0, 12)")
+    assert result == _loop_adder_check(spec, table)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 4), st.data())
+def test_adder_table_check_matches_loop(m, data):
+    circuit, spec = C.build_cuccaro_adder(m)
+    table = run_reversible_table(circuit)
+    size = len(table)
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, size - 1))
+        table[i] = data.draw(st.integers(0, size - 1))
+    assert C.compare_adder_table(spec, table) == \
+        _loop_adder_check(spec, table)
 
 
 def test_adder_pack_unpack_round_trip():

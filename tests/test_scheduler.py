@@ -6,13 +6,16 @@ once the first batch of states has landed.
 """
 
 import json
+import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latticeplan import scheduler as S
+from latticeplan.exceptions import CapacityError
 from latticeplan.factory import FactorySpec, PhysicalAssumptions
 
 BASE = PhysicalAssumptions()
@@ -236,6 +239,7 @@ def test_lookup_toffoli_count_default_and_override():
     {"entries": 1, "output_bits": 8},
     {"entries": 8, "output_bits": 0},
     {"entries": 8, "output_bits": 8, "access_sides": 3},
+    {"entries": 8, "output_bits": 8, "toffoli_count": 0},
 ])
 def test_lookup_spec_validation(kwargs):
     with pytest.raises(ValueError):
@@ -339,3 +343,254 @@ def test_dag_matches_reference(case):
         depth[node] = 1 + max((depth[a] for a, b in edges if b == node),
                               default=0)
     assert dag.measurement_depth == max(depth.values())
+
+
+# ------------------------------------ event traces against a reference
+#
+# The reference is the per-event implementation the columnar one
+# replaced: one dict per event, a sort on (time, kind index, sorted
+# payload items), and one json.dumps per line.
+
+
+def _ref_trace(events, makespan, summary):
+    events.sort(key=lambda e: (e[0], S.EVENT_KINDS.index(e[1]),
+                               sorted(e[2].items())))
+    return events, makespan, summary
+
+
+def _ref_reaction_limited(dag, depth_ns, reaction, n_factories):
+    decision = {}
+    events = []
+    for j, node in enumerate(dag.topological_order(), start=1):
+        ready = depth_ns * math.ceil(j / n_factories)
+        preds = max((decision[p] for p in dag.predecessors(node)),
+                    default=0)
+        consume = max(preds, ready)
+        decision[node] = consume + reaction
+        events.append((ready, "state_ready",
+                       {"state": j, "factory": (j - 1) % n_factories}))
+        events.append((consume, "consume", {"node": node, "state": j}))
+        events.append((consume + reaction, "reaction_decision",
+                       {"node": node}))
+    makespan = max(decision.values())
+    busy = dag.num_nodes * depth_ns
+    return _ref_trace(events, makespan, {
+        "nodes": dag.num_nodes, "n_factories": n_factories,
+        "factory_depth_ns": depth_ns, "reaction_ns": reaction,
+        "utilization": min(1.0, busy / (n_factories * makespan))})
+
+
+def _ref_lookup(entries, sides, d2, depth_ns, reaction, n_factories):
+    access = math.ceil(d2 * 1000 / sides)
+    supply = math.ceil(depth_ns / n_factories)
+    period = max(access, reaction, supply)
+    binding = "access" if period == access else \
+        "reaction" if period == reaction else "supply"
+    steps = entries - 1
+    events = []
+    t = depth_ns
+    for k in range(1, steps + 1):
+        ready = depth_ns * math.ceil(k / n_factories)
+        events.append((ready, "state_ready", {"state": k}))
+        events.append((t, "consume", {"step": k, "state": k}))
+        events.append((t + reaction, "reaction_decision", {"step": k}))
+        corridor = "left" if sides == 1 or k % 2 == 1 else "right"
+        events.append((t, "cnot_window", {"step": k, "corridor": corridor}))
+        if k < steps:
+            t += period
+    return _ref_trace(events, t + reaction, {
+        "entries": entries, "toffoli_count": steps, "binding": binding,
+        "period_ns": period, "access_window_ns": access,
+        "reaction_ns": reaction, "supply_interval_ns": supply})
+
+
+def _ref_export(events):
+    return "".join(json.dumps({"t_ns": t, "kind": kind, **payload},
+                              sort_keys=True) + "\n"
+                   for t, kind, payload in events)
+
+
+@st.composite
+def lookups(draw):
+    """Small lookups on a 1 us cycle whose paces cross: the access window
+    (d2 / sides us), the reaction time and the supply interval (5 d2 / F
+    us) each bind somewhere in the range."""
+    return dict(entries=draw(st.integers(2, 40)),
+                sides=draw(st.sampled_from([1, 2])),
+                d2=draw(st.sampled_from([3, 5, 7, 15, 27, 31])),
+                reaction=draw(st.integers(1, 60_000)),
+                factories=draw(st.integers(1, 30)))
+
+
+def _lookup_run(case):
+    spec = FactorySpec(d2=case["d2"])
+    assumptions = PhysicalAssumptions(
+        reaction_time_us=Fraction(case["reaction"], 1000))
+    lookup = S.LookupSpec(case["entries"], 1, access_sides=case["sides"])
+    trace = S.simulate_lookup(lookup, spec, assumptions, case["factories"])
+    ref = _ref_lookup(case["entries"], case["sides"], case["d2"],
+                      5000 * case["d2"], case["reaction"], case["factories"])
+    return trace, ref
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lookups())
+@example(dict(entries=9, sides=2, d2=27, reaction=10_000, factories=14))
+@example(dict(entries=9, sides=1, d2=15, reaction=20_000, factories=14))
+@example(dict(entries=9, sides=2, d2=27, reaction=10_000, factories=1))
+def test_lookup_matches_reference(case):
+    trace, (events, makespan, summary) = _lookup_run(case)
+    assert S.export_jsonl(trace) == _ref_export(events)
+    assert (trace.makespan_ns, trace.summary) == (makespan, summary)
+    assert len(trace.events) == len(events)
+    for row, ref in zip(trace.events, events):
+        assert tuple(row) == ref
+    ready = {e.payload["state"]: e.t_ns for e in trace.events
+             if e.kind == "state_ready"}
+    for e in trace.events:
+        if e.kind == "consume":
+            assert e.t_ns >= ready[e.payload["state"]]
+
+
+def test_lookup_reference_cases_bind_on_each_pace():
+    """The explicit examples above cover all three binding paces."""
+    cases = [dict(entries=9, sides=2, d2=27, reaction=10_000, factories=14),
+             dict(entries=9, sides=1, d2=15, reaction=20_000, factories=14),
+             dict(entries=9, sides=2, d2=27, reaction=10_000, factories=1)]
+    bindings = [_lookup_run(c)[0].summary["binding"] for c in cases]
+    assert bindings == ["access", "reaction", "supply"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(lookups())
+def test_lookup_makespan_falls_with_factories(case):
+    slow = _lookup_run(case)[0].makespan_ns
+    faster = _lookup_run({**case, "factories": case["factories"] + 1})[0]
+    assert faster.makespan_ns <= slow
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(random_dags(), st.integers(1, 8), st.integers(1, 200_000))
+def test_reaction_limited_matches_reference(case, factories, reaction):
+    n, edges = case
+    dag = S.ToffoliDag(n, edges)
+    assumptions = PhysicalAssumptions(
+        reaction_time_us=Fraction(reaction, 1000))
+    trace = S.simulate_reaction_limited(dag, SPEC, assumptions, factories)
+    events, makespan, summary = _ref_reaction_limited(dag, 135000, reaction,
+                                                      factories)
+    assert S.export_jsonl(trace) == _ref_export(events)
+    assert (trace.makespan_ns, trace.summary) == (makespan, summary)
+
+    ready, consume, decision = {}, {}, {}
+    for e in trace.events:
+        if e.kind == "state_ready":
+            ready[e.payload["state"]] = e.t_ns
+        elif e.kind == "consume":
+            consume[e.payload["node"]] = (e.t_ns, e.payload["state"])
+        else:
+            decision[e.payload["node"]] = e.t_ns
+    for node, (t, state) in consume.items():
+        assert t >= ready[state]
+        assert all(t >= decision[p] for p in dag.predecessors(node))
+        assert decision[node] == t + reaction
+
+    more = S.simulate_reaction_limited(dag, SPEC, assumptions, factories + 1)
+    assert more.makespan_ns <= trace.makespan_ns
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 300), st.integers(1, 200_000), st.integers(1, 200_000),
+       st.integers(1, 40))
+def test_chain_decision_closed_form(j, depth_ns, reaction, factories):
+    assert S.chain_decision(j, depth_ns, reaction, factories) == \
+        _chain_oracle(j, depth_ns, reaction, factories)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 60), st.integers(1, 30), st.integers(1, 200_000))
+def test_adder_makespan_matches_reference(bits, factories, reaction):
+    assumptions = PhysicalAssumptions(
+        reaction_time_us=Fraction(reaction, 1000))
+    dag = S.build_adder_dag(bits)
+    _, makespan, _ = _ref_reaction_limited(dag, 135000, reaction, factories)
+    assert S.adder_makespan(bits, SPEC, assumptions, factories) == makespan
+    assert S.adder_toffolis(bits) == dag.num_nodes == dag.measurement_depth
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(lookups(), st.integers(2, 40))
+def test_phase_timeline_matches_reference(case, bits):
+    spec = FactorySpec(d2=case["d2"])
+    assumptions = PhysicalAssumptions(
+        reaction_time_us=Fraction(case["reaction"], 1000))
+    lookup = S.LookupSpec(case["entries"], 1, access_sides=case["sides"])
+    trace = S.phase_timeline(lookup, bits, spec, assumptions,
+                             case["factories"])
+    durations = trace.summary["durations_ns"]
+    assert sum(durations.values()) == trace.makespan_ns
+    assert len(trace.events) == len(S.PHASES)
+
+    depth_ns = 5000 * case["d2"]
+    _, look, _ = _ref_lookup(case["entries"], case["sides"], case["d2"],
+                             depth_ns, case["reaction"], case["factories"])
+    add, last, _ = _ref_reaction_limited(
+        S.build_adder_dag(bits), depth_ns, case["reaction"],
+        case["factories"])
+    apex = max(t for t, kind, payload in add
+               if kind == "reaction_decision" and payload["node"] == bits - 2)
+    assert durations["spread"] == durations["uncompute"] == 1000 * case["d2"]
+    assert durations["lookup"] == look
+    assert durations["add_up"] == apex
+    assert durations["add_down"] == last - apex
+    t = 0
+    lines = []
+    for phase in S.PHASES:
+        t += durations[phase]
+        lines.append((t, "phase_boundary",
+                      {"phase": phase,
+                       "toffolis": trace.summary["toffolis"][phase]}))
+    assert S.export_jsonl(trace) == _ref_export(lines)
+
+
+@pytest.mark.parametrize("entries", [10 ** 9, S.MAX_TRACE_EVENTS // 4 + 2])
+def test_trace_cap_raises_before_allocating(entries):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="exceeds the cap"):
+            S.simulate_lookup(S.LookupSpec(entries, 1), SPEC, BASE, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_adder_trace_cap(monkeypatch):
+    dag = S.build_adder_dag(4)  # 5 nodes, 15 events
+    monkeypatch.setattr(S, "MAX_TRACE_EVENTS", 14)
+    with pytest.raises(CapacityError, match="15 events"):
+        S.simulate_reaction_limited(dag, SPEC, BASE, 1)
+    monkeypatch.setattr(S, "MAX_TRACE_EVENTS", 15)
+    assert len(S.simulate_reaction_limited(dag, SPEC, BASE, 1).events) == 15
+
+
+def test_event_times_past_int64_rejected():
+    slow = PhysicalAssumptions(cycle_time_us=10 ** 15)
+    with pytest.raises(CapacityError, match="int64"):
+        S.simulate_lookup(S.LookupSpec(8, 1), SPEC, slow, 1)
+    with pytest.raises(CapacityError, match="int64"):
+        S.simulate_reaction_limited(S.build_adder_dag(4), SPEC, slow, 1)
+    with pytest.raises(CapacityError, match="int64"):
+        S.phase_timeline(S.LookupSpec(8, 1), 4, SPEC, slow, 1)
+
+
+def test_lookup_pace_matches_simulation_summary():
+    lookup = S.LookupSpec(1024, 32)
+    pace = S.lookup_pace(lookup, SPEC, BASE, 14)
+    trace = S.simulate_lookup(lookup, SPEC, BASE, 14)
+    assert pace.makespan_ns == trace.makespan_ns
+    assert (pace.binding, pace.period_ns, pace.steps) == (
+        trace.summary["binding"], trace.summary["period_ns"],
+        trace.summary["toffoli_count"])
+    big = S.lookup_pace(S.LookupSpec(10 ** 9, 1), SPEC, BASE, 14)
+    assert big.makespan_ns == 135000 + (10 ** 9 - 2) * 13500 + 10000
