@@ -23,6 +23,7 @@ FALSE: Condition = ()
 
 
 def evaluate_condition(cond: Condition, outcomes: dict[str, int]) -> int:
+    """Value of ``cond``; outcome arrays give it elementwise."""
     val = 0
     for term in cond:
         prod = 1

@@ -53,29 +53,6 @@ class PauliFrame:
         if any(b not in (0, 1) for b in self.x_bits + self.z_bits):
             raise ValueError("frame bits must be 0 or 1")
 
-    @classmethod
-    def identity(cls, qubits: tuple[int, ...]) -> "PauliFrame":
-        n = len(qubits)
-        return cls(qubits, (0,) * n, (0,) * n)
-
-    def flipped(self, qubit: int, pauli: str) -> "PauliFrame":
-        i = self.qubits.index(qubit)
-        x = list(self.x_bits)
-        z = list(self.z_bits)
-        if pauli == "X":
-            x[i] ^= 1
-        elif pauli == "Z":
-            z[i] ^= 1
-        elif pauli == "Y":
-            x[i] ^= 1
-            z[i] ^= 1
-        else:
-            raise ValueError(f"bad pauli {pauli!r}")
-        return PauliFrame(self.qubits, tuple(x), tuple(z))
-
-    def is_identity(self) -> bool:
-        return not any(self.x_bits) and not any(self.z_bits)
-
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Return the vector with pending corrections applied (Z then X per
         qubit; order only affects global phase)."""

@@ -2,13 +2,15 @@
 
 Measured qubits are removed from the simulated register, so the state
 dimension halves at every measurement; a 16-qubit circuit with 14
-measurements stays cheap. Branches are explored depth first with the 0
-outcome first, so the emitted order is lexicographic in the outcome bits.
+measurements stays cheap. Branches are explored breadth first: one array
+holds every live outcome prefix side by side, so each circuit operation
+is one vectorised step, and a measurement splits every prefix at once
+with the 0 outcome first, keeping the prefixes in lexicographic order.
 
 The walk carries a trailing column axis: with every basis input as a
-column, each leaf is the Kraus operator of its outcome string, and the
-channel check compares it, after its Pauli frame, against the target
-unitary up to one scalar per outcome.
+column, each live outcome string ends with the Kraus operator of that
+string, and the channel check compares it, after its Pauli frame,
+against the target unitary up to one scalar per outcome.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ..exceptions import CapacityError, ContractError
-from .circuit import (CGate, Circuit, FrameUpdate, Gate, Measure,
+from .circuit import (CGate, Circuit, FrameUpdate, Gate, TRUE,
                       evaluate_condition)
 from .frame import PauliFrame, apply_pauli
 from .gates import (MAX_QUBITS, StateVector, apply_gate, basis_state,
@@ -28,8 +30,9 @@ from .gates import (MAX_QUBITS, StateVector, apply_gate, basis_state,
 
 PROB_FLOOR = 1e-12
 ATOL = 1e-9
-# The Kraus walk carries a 2^n x 2^k block for n qubits and k inputs; the
-# constructions need at most 2^18 values, and 2^22 take 64 MiB.
+# The Kraus walk of n qubits and k inputs never holds more than 2^(n+k)
+# values: a measurement halves the rows and at most doubles the prefixes.
+# The constructions need at most 2^18 values, and 2^22 take 64 MiB.
 MAX_KRAUS_VALUES = 1 << 22
 
 
@@ -82,71 +85,105 @@ def initial_vector(circuit: Circuit,
     return kron_with_ancillas(basis_state(""), (), dict(enumerate(inits)), n)
 
 
-class _Leaf(NamedTuple):
-    """End of one measurement history of the batched walk: the outcome
-    string, the (2^s, C) block of unnormalized outputs on the s surviving
-    qubits (one column per input; None for a zero-norm prefix whose
-    subtree was not explored) and the recorded frame updates in order."""
+class _Walk(NamedTuple):
+    """Every live outcome string of a circuit at its end, side by side in
+    lexicographic order.
 
-    bits: str
-    block: np.ndarray | None
-    flips: tuple[tuple[int, str], ...]
+    ``block`` is (2^s, B, C): the unnormalized outputs of the B live
+    strings on the s surviving qubits, one column per input. ``bits`` is
+    their (B, m) outcome matrix, ``x`` and ``z`` are the (B,) X and Z
+    masks of their recorded frames over the surviving qubits (qubit 0 the
+    most significant bit), and ``stubs`` holds the outcome strings of the
+    zero-norm prefixes whose subtrees were not explored.
+    """
+
+    bits: np.ndarray
+    block: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+    stubs: list[str]
 
 
-def _walk(circuit: Circuit, block: np.ndarray,
-          prob_floor: float) -> list[_Leaf]:
+def _bit_strings(bits: np.ndarray) -> list[str]:
+    """The rows of a (B, m) bit matrix as strings of "0" and "1"."""
+    if bits.shape[1] == 0:
+        return [""] * len(bits)
+    chars = bits.astype(np.uint8) + ord("0")
+    return chars.view(f"S{bits.shape[1]}")[:, 0].astype(str).tolist()
+
+
+def _walk(circuit: Circuit, block: np.ndarray, prob_floor: float) -> _Walk:
     """Run every measurement branch of the circuit on all columns of
-    ``block`` at once, depth first with the 0 outcome first.
+    ``block`` at once, breadth first: one array holds every live outcome
+    prefix, and each operation is one step over all of them.
 
     Every basis flip, conditional gate and frame update depends on the
-    outcome prefix alone, so one branch serves every column. A prefix
-    whose squared norm, summed over the columns, is at most
-    ``prob_floor`` ends as a stub.
+    outcome prefix alone, so one prefix serves every column. A condition
+    is a boolean vector over the prefixes, and a conditional operation
+    acts on the prefixes it selects. A measurement splits prefix b into
+    children 2b and 2b + 1, which keeps the prefixes in lexicographic
+    order; a child whose squared norm, summed over the columns, is at
+    most ``prob_floor`` ends as a stub.
     """
-    leaves: list[_Leaf] = []
+    survivors = circuit.surviving_qubits
+    alive = list(range(circuit.num_qubits))
+    block = np.array(block[:, None, :])  # (2^k, B, C), owned by the walk
+    bits = np.zeros((1, 0), dtype=bool)
+    x, z = np.zeros((2, 1), dtype=np.int64)
+    # per prefix, the first frame update on a qubit that is measured later
+    bad = np.full(1, -1)
+    keys: list[str] = []
+    stubs: list[str] = []
 
-    def walk(block: np.ndarray, alive: tuple[int, ...], op_index: int,
-             outcomes: dict[str, int], bits: str,
-             flips: tuple[tuple[int, str], ...]) -> None:
-        k = len(alive)
-        while op_index < len(circuit.operations):
-            op = circuit.operations[op_index]
-            op_index += 1
-            if isinstance(op, Gate):
-                pos = [alive.index(q) for q in op.qubits]
-                block = apply_gate(block, op.name, pos, k)
-            elif isinstance(op, CGate):
-                if evaluate_condition(op.condition, outcomes):
-                    pos = [alive.index(q) for q in op.qubits]
-                    block = apply_gate(block, op.name, pos, k)
-            elif isinstance(op, FrameUpdate):
-                if evaluate_condition(op.condition, outcomes):
-                    flips = flips + ((op.qubit, op.pauli),)
+    def selected(cond) -> np.ndarray:
+        val = evaluate_condition(cond, dict(zip(keys, bits.T)))
+        return np.broadcast_to(np.asarray(val, dtype=bool), (len(bits),))
+
+    def apply(name: str, qubits, where: np.ndarray) -> None:
+        nonlocal block
+        pos = [alive.index(q) for q in qubits]
+        if where.all():
+            block = apply_gate(block, name, pos, len(alive))
+        elif where.any():
+            block[:, where] = apply_gate(block[:, where], name, pos,
+                                         len(alive))
+
+    for index, op in enumerate(circuit.operations):
+        if isinstance(op, Gate):
+            apply(op.name, op.qubits, selected(TRUE))
+        elif isinstance(op, CGate):
+            apply(op.name, op.qubits, selected(op.condition))
+        elif isinstance(op, FrameUpdate):
+            where = selected(op.condition)
+            if op.qubit in survivors:
+                bit = 1 << (len(survivors) - 1 - survivors.index(op.qubit))
+                mask = x if op.pauli == "X" else z
+                mask ^= np.where(where, bit, 0)
             else:
-                pos = alive.index(op.qubit)
-                basis = op.basis
-                if evaluate_condition(op.flip_basis_if, outcomes):
-                    basis = "x" if basis == "z" else "z"
-                if basis == "x":
-                    block = apply_gate(block, "H", [pos], k)
-                t = block.reshape((2,) * k + (-1,))
-                rest = alive[:pos] + alive[pos + 1:]
-                for m in (0, 1):
-                    child = t.take(m, axis=pos).reshape(-1, t.shape[-1])
-                    new_outcomes = {**outcomes, op.key: m}
-                    if float(np.vdot(child, child).real) <= prob_floor:
-                        leaves.append(_Leaf(bits + str(m), None, flips))
-                    else:
-                        walk(child, rest, op_index, new_outcomes,
-                             bits + str(m), flips)
-                return
-        for qubit, _ in flips:
-            if qubit not in alive:
-                raise ValueError(f"frame update on measured qubit {qubit}")
-        leaves.append(_Leaf(bits, block, flips))
-
-    walk(block, tuple(range(circuit.num_qubits)), 0, {}, "", ())
-    return leaves
+                bad = np.where(where & (bad < 0), index, bad)
+        else:
+            apply("H", (op.qubit,),
+                  selected(op.flip_basis_if) ^ (op.basis == "x"))
+            pos, k = alive.index(op.qubit), len(alive)
+            _, count, cols = block.shape
+            block = block.reshape(1 << pos, 2, 1 << (k - 1 - pos), count,
+                                  cols).transpose(0, 2, 3, 1, 4)
+            block = block.reshape(1 << (k - 1), 2 * count, cols)
+            bits = np.column_stack((np.repeat(bits, 2, axis=0),
+                                    np.tile((False, True), count)))
+            x, z, bad = (np.repeat(v, 2) for v in (x, z, bad))
+            parts = block.view(np.float64)  # real and imaginary parts
+            live = np.einsum("rbc,rbc->b", parts, parts) > prob_floor
+            if not live.all():
+                stubs += _bit_strings(bits[~live])
+                block, bits = block[:, live], bits[live]
+                x, z, bad = x[live], z[live], bad[live]
+            alive.pop(pos)
+            keys.append(op.key)
+    if (bad >= 0).any():
+        qubit = circuit.operations[bad[bad >= 0][0]].qubit
+        raise ValueError(f"frame update on measured qubit {qubit}")
+    return _Walk(bits, block, x, z, stubs)
 
 
 def enumerate_branches(circuit: Circuit,
@@ -156,27 +193,35 @@ def enumerate_branches(circuit: Circuit,
 
     The input covers the circuit's "?" qubits in ascending order and must
     be normalized; branch probabilities then sum to 1 (truncated stubs
-    report probability 0.0).
+    report probability 0.0). Branches come in lexicographic order of
+    their outcome bits, each stub where its subtree would have been.
     """
     if input_state is not None and input_state.ndim != 1:
         raise ValueError("input state must be one vector")
-    vec = initial_vector(circuit, input_state)
+    walk = _walk(circuit, initial_vector(circuit, input_state)[:, None],
+                 prob_floor)
     survivors = circuit.surviving_qubits
     keys = circuit.measurement_keys
+    shifts = np.arange(len(survivors) - 1, -1, -1)
+    frame_bits = [((m[:, None] >> shifts) & 1).tolist()
+                  for m in (walk.x, walk.z)]
+    # a stub has no descendants, so sorting on the bits interleaves the
+    # stubs as a depth-first walk would
+    rows = sorted([(b, r) for r, b in enumerate(_bit_strings(walk.bits))]
+                  + [(b, -1) for b in walk.stubs])
     branches: list[Branch] = []
-    for leaf in _walk(circuit, vec[:, None], prob_floor):
+    for bits, r in rows:
         # outcome bits follow the measurement order, a stub's a prefix
-        outcomes = dict(zip(keys, map(int, leaf.bits)))
-        if leaf.block is None:
-            branches.append(Branch(leaf.bits, outcomes, 0.0, survivors,
+        outcomes = dict(zip(keys, map(int, bits)))
+        if r < 0:
+            branches.append(Branch(bits, outcomes, 0.0, survivors,
                                    None, None, truncated=True))
             continue
-        amps = leaf.block[:, 0]
+        amps = walk.block[:, r, 0]
         p = float(np.vdot(amps, amps).real)
-        frame = PauliFrame.identity(survivors)
-        for qubit, pauli in leaf.flips:
-            frame = frame.flipped(qubit, pauli)
-        branches.append(Branch(leaf.bits, outcomes, p, survivors,
+        frame = PauliFrame(survivors, tuple(frame_bits[0][r]),
+                           tuple(frame_bits[1][r]))
+        branches.append(Branch(bits, outcomes, p, survivors,
                                StateVector(survivors, amps / math.sqrt(p)),
                                frame))
     return branches
@@ -227,21 +272,15 @@ def kraus_operators(circuit: Circuit, output_qubits: tuple[int, ...]
         raise CapacityError(
             f"{circuit.num_qubits} qubits with {k} inputs exceed the cap "
             f"of {MAX_KRAUS_VALUES} values for the Kraus walk")
-    leaves = _walk(circuit, initial_vector(
+    walk = _walk(circuit, initial_vector(
         circuit, np.eye(1 << k, dtype=np.complex128)), PROB_FLOOR)
-    live = [leaf for leaf in leaves if leaf.block is not None]
-    n = len(survivors)
-    masks = np.zeros((2, len(live)), dtype=np.int64)  # the X and Z masks
-    for r, leaf in enumerate(live):
-        for qubit, pauli in leaf.flips:
-            bit = 1 << (n - 1 - survivors.index(qubit))
-            masks["XZ".index(pauli), r] ^= bit
-    kraus = apply_pauli(np.stack([leaf.block for leaf in live]), *masks)
+    count, n = walk.block.shape[1], len(survivors)
+    kraus = apply_pauli(walk.block.transpose(1, 0, 2), walk.x, walk.z)
     perm = [survivors.index(q) for q in output_qubits]
-    kraus = kraus.reshape((len(live),) + (2,) * n + (1 << k,))
+    kraus = kraus.reshape((count,) + (2,) * n + (1 << k,))
     kraus = kraus.transpose([0] + [1 + p for p in perm] + [n + 1])
-    kraus = np.ascontiguousarray(kraus.reshape(len(live), 1 << n, 1 << k))
-    return [leaf.bits for leaf in live], kraus, len(leaves) - len(live)
+    kraus = np.ascontiguousarray(kraus.reshape(count, 1 << n, 1 << k))
+    return _bit_strings(walk.bits), kraus, len(walk.stubs)
 
 
 def check_channel(circuit: Circuit, unitary: np.ndarray, *,

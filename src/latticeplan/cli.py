@@ -253,9 +253,12 @@ def _cmd_schedule(args) -> int:
         # the summary comes from the closed form; events only for --out
         depth = scheduler.adder_toffolis(args.m)
         makespan = scheduler.adder_makespan(args.m, spec, assumptions, n)
-        trace = scheduler.simulate_reaction_limited(
-            scheduler.build_adder_dag(args.m), spec, assumptions, n) \
-            if args.out else None
+        trace = None
+        if args.out:
+            # refuse an over-cap trace before its DAG is built
+            scheduler.check_trace_size(3 * depth, makespan)
+            trace = scheduler.simulate_reaction_limited(
+                scheduler.build_adder_dag(args.m), spec, assumptions, n)
         summary = {
             "kind": "adder",
             "factories": n,

@@ -321,33 +321,6 @@ def build_cuccaro_adder(bits: int) -> tuple[Circuit, AdderSpec]:
     return circuit, spec
 
 
-def pack_adder_input(spec: AdderSpec, c_in: int, a: int, b: int) -> str:
-    """Encode (carry-in, a, b) as an input bit string; a is little-endian
-    over i_wires, b over t_wires."""
-    if not 0 <= a < (1 << (spec.bits - 1)):
-        raise ValueError(f"a out of range: {a}")
-    if not 0 <= b < (1 << spec.bits):
-        raise ValueError(f"b out of range: {b}")
-    bits = ["0"] * spec.num_qubits
-    bits[spec.c_wire] = str(c_in & 1)
-    for k, w in enumerate(spec.i_wires):
-        bits[w] = str((a >> k) & 1)
-    for k, w in enumerate(spec.t_wires):
-        bits[w] = str((b >> k) & 1)
-    return "".join(bits)
-
-
-def unpack_adder_output(spec: AdderSpec, bits: str) -> tuple[int, int, int]:
-    c = int(bits[spec.c_wire])
-    a = sum(int(bits[w]) << k for k, w in enumerate(spec.i_wires))
-    s = sum(int(bits[w]) << k for k, w in enumerate(spec.t_wires))
-    return c, a, s
-
-
-def majority(a: int, b: int, c: int) -> int:
-    return (a & b) ^ (a & c) ^ (b & c)
-
-
 CONSTRUCTIONS = {
     "cz-apply": lambda: build_delayed_choice_cz(True),
     "cz-skip": lambda: build_delayed_choice_cz(False),

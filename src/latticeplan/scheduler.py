@@ -98,7 +98,7 @@ class ScheduleTrace:
     summary: dict
 
 
-def _check_trace_size(n_events: int, t_max: int) -> None:
+def check_trace_size(n_events: int, t_max: int) -> None:
     """Refuse, before allocating, a trace over the event cap or with a
     time past int64."""
     if n_events > MAX_TRACE_EVENTS:
@@ -230,8 +230,8 @@ def simulate_reaction_limited(dag: ToffoliDag, spec: FactorySpec,
     are available. Factories run flat out with unbounded buffering."""
     depth_ns, reaction = _timing(spec, assumptions, n_factories)
     n = dag.num_nodes
-    _check_trace_size(3 * n, depth_ns * _ceil_div(n, n_factories)
-                      + n * reaction)
+    check_trace_size(3 * n, depth_ns * _ceil_div(n, n_factories)
+                     + n * reaction)
     # with F >= n every state is in the first batch and factory j - 1
     # makes state j, so min(F, n) gives the same columns in int64
     f = min(n_factories, n)
@@ -362,7 +362,7 @@ def simulate_lookup(lookup: LookupSpec, spec: FactorySpec,
     windows alternate sides when both are available."""
     pace = lookup_pace(lookup, spec, assumptions, n_factories)
     steps = pace.steps
-    _check_trace_size(4 * steps, pace.makespan_ns)
+    check_trace_size(4 * steps, pace.makespan_ns)
     k = np.arange(1, steps + 1, dtype=np.int64)
     start = pace.depth_ns + (k - 1) * pace.period_ns
     ready = pace.depth_ns * _ceil_div(k, min(n_factories, steps))
@@ -426,7 +426,7 @@ def phase_timeline(lookup: LookupSpec, adder_bits: int, spec: FactorySpec,
         "uncompute": 0,
     }
     makespan = sum(durations.values())
-    _check_trace_size(len(PHASES), makespan)
+    check_trace_size(len(PHASES), makespan)
     ends = np.cumsum([durations[p] for p in PHASES])
     events = EventTable([EventBlock(
         "phase_boundary", ends, np.arange(len(PHASES)),

@@ -2,6 +2,7 @@
 and the Kraus operators of the same walk."""
 
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -9,11 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticeplan.circuits import (CGate, Circuit, FrameUpdate, Gate, Measure,
-                                  TRUE, basis_state, check_channel,
-                                  enumerate_branches, parse_condition,
+                                  TRUE, apply_gate, basis_state,
+                                  check_channel, enumerate_branches,
+                                  evaluate_condition, parse_condition,
                                   random_state)
+from latticeplan.circuits.frame import apply_pauli
 from latticeplan.circuits.gates import GATE_ARITY
-from latticeplan.circuits.simulate import kraus_operators
+from latticeplan.circuits.simulate import (PROB_FLOOR, _bit_strings, _walk,
+                                           initial_vector, input_qubits_of,
+                                           kraus_operators)
+from latticeplan.constructions import CONSTRUCTIONS
 from latticeplan.exceptions import CapacityError, ContractError
 
 
@@ -164,6 +170,26 @@ def test_frame_update_on_measured_qubit_rejected():
         Circuit(num_qubits=1, operations=ops, initial_states=("0",))
 
 
+def test_frame_update_on_qubit_measured_later():
+    # input qubit 0 records an X when a reads 1, and is measured afterwards
+    ops = (Measure(1, "a"), FrameUpdate(0, "X", parse_condition("a")),
+           Measure(0, "b"))
+    flipped = Circuit(2, (Gate("H", (1,)),) + ops, ("?", "0"))
+    for walk in (lambda c: enumerate_branches(c, basis_state("0")),
+                 lambda c: kraus_operators(c, ())):
+        with pytest.raises(ValueError,
+                           match="^frame update on measured qubit 0$"):
+            walk(flipped)
+    # with qubit 1 in |0> the a = 1 prefix is a stub: no live branch
+    # records the update, so nothing is raised
+    quiet = Circuit(2, ops, ("?", "0"))
+    assert [(b.outcome_bits, b.truncated)
+            for b in enumerate_branches(quiet, basis_state("0"))] == \
+        [("00", False), ("01", True), ("1", True)]
+    bits, _, stubs = kraus_operators(quiet, ())
+    assert (bits, stubs) == (["00", "01"], 1)
+
+
 def test_unnormalized_is_sqrt_p_times_state():
     branches = enumerate_branches(_plus_measure())
     for b in branches:
@@ -292,3 +318,120 @@ def test_kraus_operators_match_branches(circuit, seed):
             assert np.allclose(v / np.sqrt(p), want, atol=1e-7)
     # outcome strings live only in the batch weigh nothing for psi
     assert all(np.vdot(v, v).real < 1e-9 for v in out.values())
+
+
+# ------------------------------------------------- reference walk
+
+
+class _Leaf(NamedTuple):
+    """End of one measurement history of the reference walk: the outcome
+    string, the (2^s, C) block of unnormalized outputs on the s surviving
+    qubits (None for a zero-norm prefix whose subtree was not explored)
+    and the recorded frame updates in order."""
+
+    bits: str
+    block: np.ndarray | None
+    flips: tuple[tuple[int, str], ...]
+
+
+def _reference_walk(circuit, block, prob_floor=PROB_FLOOR):
+    """The recursive depth-first walk that the breadth-first one
+    replaced: one call per outcome prefix, the 0 outcome first."""
+    leaves: list[_Leaf] = []
+
+    def walk(block, alive, op_index, outcomes, bits, flips):
+        k = len(alive)
+        while op_index < len(circuit.operations):
+            op = circuit.operations[op_index]
+            op_index += 1
+            if isinstance(op, Gate):
+                pos = [alive.index(q) for q in op.qubits]
+                block = apply_gate(block, op.name, pos, k)
+            elif isinstance(op, CGate):
+                if evaluate_condition(op.condition, outcomes):
+                    pos = [alive.index(q) for q in op.qubits]
+                    block = apply_gate(block, op.name, pos, k)
+            elif isinstance(op, FrameUpdate):
+                if evaluate_condition(op.condition, outcomes):
+                    flips = flips + ((op.qubit, op.pauli),)
+            else:
+                pos = alive.index(op.qubit)
+                basis = op.basis
+                if evaluate_condition(op.flip_basis_if, outcomes):
+                    basis = "x" if basis == "z" else "z"
+                if basis == "x":
+                    block = apply_gate(block, "H", [pos], k)
+                t = block.reshape((2,) * k + (-1,))
+                rest = alive[:pos] + alive[pos + 1:]
+                for m in (0, 1):
+                    child = t.take(m, axis=pos).reshape(-1, t.shape[-1])
+                    new_outcomes = {**outcomes, op.key: m}
+                    if float(np.vdot(child, child).real) <= prob_floor:
+                        leaves.append(_Leaf(bits + str(m), None, flips))
+                    else:
+                        walk(child, rest, op_index, new_outcomes,
+                             bits + str(m), flips)
+                return
+        for qubit, _ in flips:
+            if qubit not in alive:
+                raise ValueError(f"frame update on measured qubit {qubit}")
+        leaves.append(_Leaf(bits, block, flips))
+
+    walk(block, tuple(range(circuit.num_qubits)), 0, {}, "", ())
+    return leaves
+
+
+def _reference_live(circuit, leaves):
+    """The live leaves as the breadth-first walk holds them: outcome
+    strings, one (2^s, B, C) block and the (2, B) X and Z frame masks."""
+    survivors = circuit.surviving_qubits
+    live = [leaf for leaf in leaves if leaf.block is not None]
+    masks = np.zeros((2, len(live)), dtype=np.int64)
+    for r, leaf in enumerate(live):
+        for qubit, pauli in leaf.flips:
+            bit = 1 << (len(survivors) - 1 - survivors.index(qubit))
+            masks["XZ".index(pauli), r] ^= bit
+    return ([leaf.bits for leaf in live],
+            np.stack([leaf.block for leaf in live], axis=1), masks)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          database=None)
+@given(adaptive_circuits(), st.integers(0, 2 ** 32 - 1))
+def test_walk_matches_reference(circuit, seed):
+    k = len(input_qubits_of(circuit))
+    psi = random_state(k, np.random.default_rng(seed))
+    for columns in (np.eye(1 << k, dtype=np.complex128), psi[:, None]):
+        start = initial_vector(circuit, columns)
+        leaves = _reference_walk(circuit, start)
+        walk = _walk(circuit, start, PROB_FLOOR)
+        live, block, masks = _reference_live(circuit, leaves)
+        assert _bit_strings(walk.bits) == live
+        # stubs interleave by their bits as the depth-first walk emits them
+        assert sorted(live + walk.stubs) == [leaf.bits for leaf in leaves]
+        assert len(walk.stubs) == len(leaves) - len(live)
+        assert np.array_equal(walk.block, block)
+        assert np.array_equal(walk.x, masks[0])
+        assert np.array_equal(walk.z, masks[1])
+    assert [(b.outcome_bits, b.truncated)
+            for b in enumerate_branches(circuit, psi)] == \
+        [(leaf.bits, leaf.block is None) for leaf in leaves]
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTIONS))
+def test_kraus_operators_match_reference_walk(name):
+    c = CONSTRUCTIONS[name]()
+    bits, kraus, stubs = kraus_operators(c.circuit, c.output_qubits)
+    k = len(c.input_qubits)
+    leaves = _reference_walk(c.circuit, initial_vector(
+        c.circuit, np.eye(1 << k, dtype=np.complex128)))
+    live, block, masks = _reference_live(c.circuit, leaves)
+    want = apply_pauli(block.transpose(1, 0, 2), *masks)
+    survivors = c.circuit.surviving_qubits
+    n = len(survivors)
+    perm = [survivors.index(q) for q in c.output_qubits]
+    want = want.reshape((len(live),) + (2,) * n + (1 << k,))
+    want = want.transpose([0] + [1 + p for p in perm] + [n + 1])
+    assert bits == live
+    assert stubs == len(leaves) - len(live)
+    assert np.array_equal(kraus, want.reshape(kraus.shape))
