@@ -8,7 +8,7 @@ from .gates import (GATES, MAX_QUBITS, MAX_TABLE_QUBITS, StateVector,
                     apply_gate,
                     apply_unitary, basis_state, kron_with_ancillas,
                     plus_state, random_state)
-from .reversible import run_reversible, run_reversible_table
+from .reversible import run_reversible_table
 from .simulate import (Branch, ChannelReport, basis_inputs, check_channel,
                        enumerate_branches, random_inputs)
 from .textfmt import format_circuit, parse_circuit
@@ -21,5 +21,5 @@ __all__ = [
     "enumerate_branches", "evaluate_condition",
     "format_circuit", "format_condition", "kron_with_ancillas",
     "parse_circuit", "plus_state", "random_inputs", "random_state",
-    "run_reversible", "run_reversible_table",
+    "run_reversible_table",
 ]

@@ -38,16 +38,17 @@ def condition_keys(cond: Condition) -> set[str]:
 
 
 def parse_condition(text: str) -> Condition:
-    """Parse "a&b ^ c" style xor-of-ands. "0" and "1" are constants."""
+    """Parse "a&b ^ c" style xor-of-ands. "0" is the constant 0, and a
+    term "1" the constant 1, as format_condition writes them."""
     text = text.strip()
     if text == "0":
         return FALSE
-    if text == "1":
-        return TRUE
     terms: list[tuple[str, ...]] = []
     for chunk in text.split("^"):
         keys = tuple(k.strip() for k in chunk.split("&"))
-        if any(not k or not k.replace("_", "").isalnum() for k in keys):
+        if keys == ("1",):
+            keys = ()
+        elif any(not k or not k.replace("_", "").isalnum() for k in keys):
             raise ValueError(f"bad condition {text!r}")
         terms.append(keys)
     return tuple(terms)

@@ -50,20 +50,6 @@ def _classical_ops(circuit: Circuit):
         raise ValueError("unmatched H at end of circuit")
 
 
-def run_reversible(circuit: Circuit, bits: str) -> str:
-    if len(bits) != circuit.num_qubits or set(bits) - {"0", "1"}:
-        raise ValueError(f"bad input bits {bits!r}")
-    state = [int(b) for b in bits]
-    for op in _classical_ops(circuit):
-        if op[0] == "X":
-            state[op[1]] ^= 1
-        elif op[0] == "CX":
-            state[op[2]] ^= state[op[1]]
-        else:
-            state[op[3]] ^= state[op[1]] & state[op[2]]
-    return "".join(str(b) for b in state)
-
-
 def run_reversible_table(circuit: Circuit) -> np.ndarray:
     """Map every basis input to its output index, vectorized over all 2^n
     inputs. Index bit order matches the statevector convention (qubit 0 is

@@ -26,7 +26,7 @@ from .circuit import (CGate, Circuit, FrameUpdate, Gate, TRUE,
                       evaluate_condition)
 from .frame import PauliFrame, apply_pauli
 from .gates import (MAX_QUBITS, StateVector, apply_gate, basis_state,
-                    kron_with_ancillas)
+                    kron_with_ancillas, random_state)
 
 PROB_FLOOR = 1e-12
 ATOL = 1e-9
@@ -187,8 +187,8 @@ def _walk(circuit: Circuit, block: np.ndarray, prob_floor: float) -> _Walk:
 
 
 def enumerate_branches(circuit: Circuit,
-                       input_state: np.ndarray | None = None,
-                       prob_floor: float = PROB_FLOOR) -> list[Branch]:
+                       input_state: np.ndarray | None = None
+                       ) -> list[Branch]:
     """Run every measurement branch of the circuit on one input.
 
     The input covers the circuit's "?" qubits in ascending order and must
@@ -199,7 +199,7 @@ def enumerate_branches(circuit: Circuit,
     if input_state is not None and input_state.ndim != 1:
         raise ValueError("input state must be one vector")
     walk = _walk(circuit, initial_vector(circuit, input_state)[:, None],
-                 prob_floor)
+                 PROB_FLOOR)
     survivors = circuit.surviving_qubits
     keys = circuit.measurement_keys
     shifts = np.arange(len(survivors) - 1, -1, -1)
@@ -235,11 +235,7 @@ def basis_inputs(k: int) -> list[tuple[str, np.ndarray]]:
 def random_inputs(k: int, count: int,
                   seed: int = 7) -> list[tuple[str, np.ndarray]]:
     rng = np.random.default_rng(seed)
-    out = []
-    for i in range(count):
-        vec = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
-        out.append((f"random{i}", vec / np.linalg.norm(vec)))
-    return out
+    return [(f"random{i}", random_state(k, rng)) for i in range(count)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -285,8 +281,8 @@ def kraus_operators(circuit: Circuit, output_qubits: tuple[int, ...]
 
 def check_channel(circuit: Circuit, unitary: np.ndarray, *,
                   inputs: Sequence[tuple[str, np.ndarray]] | None = None,
-                  output_qubits: tuple[int, ...] | None = None,
-                  atol: float = ATOL) -> ChannelReport:
+                  output_qubits: tuple[int, ...] | None = None
+                  ) -> ChannelReport:
     """Verify that every measurement outcome implements ``unitary`` on the
     data, after its recorded Pauli frame, up to one scalar per outcome.
 
@@ -294,7 +290,8 @@ def check_channel(circuit: Circuit, unitary: np.ndarray, *,
     outcome string r, and the sum of K_r^dagger K_r is the identity.
     ``inputs`` (default: the basis states) are evaluated as K_r psi; they
     set the counts of the report and add their per-branch amplitude
-    errors.
+    errors. ``output_qubits`` (default: the input qubits) name the wires
+    that carry the result. A branch fails when its error exceeds ATOL.
 
     Raises ContractError if the surviving qubits are not exactly the
     expected outputs. Mismatches are reported, not raised; each failing
@@ -331,10 +328,10 @@ def check_channel(circuit: Circuit, unitary: np.ndarray, *,
         checked += int(seen.sum())
 
     failures = [f"branch {bits[r]}: max amplitude error {errs[r]:.3e}"
-                for r in np.nonzero(errs > atol)[0]]
+                for r in np.nonzero(errs > ATOL)[0]]
     gram = np.einsum("rdi,rdj->ij", kraus.conj(), kraus)
     incomplete = float(np.abs(gram - np.eye(1 << k)).max())
-    if incomplete > atol:
+    if incomplete > ATOL:
         failures.append("sum of K_r^dagger K_r differs from the identity "
                         f"by {incomplete:.3e}")
     return ChannelReport(

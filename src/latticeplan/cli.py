@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import constructions, layout, scheduler, zx
-from .exceptions import CapacityError, ConfigError
+from .exceptions import CapacityError
 from .factory import (FactorySpec, PhysicalAssumptions, ccz_rate,
                       format_khz, format_ms, parse_assumptions_file,
                       select_code_distances)
@@ -312,30 +312,18 @@ def _cmd_layout(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command = {"verify": _cmd_verify, "estimate": _cmd_estimate,
+               "schedule": _cmd_schedule, "layout": _cmd_layout}
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        if args.command == "schedule":
-            return _cmd_schedule(args)
-        if args.command == "layout":
-            return _cmd_layout(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return command[args.command](args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, json.JSONDecodeError) as exc:
+    # ConfigError and json.JSONDecodeError are ValueErrors
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

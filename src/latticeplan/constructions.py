@@ -18,6 +18,7 @@ from .circuits import (CGate, Circuit, Condition, FALSE, FrameUpdate, Gate,
                        GATES, Measure, basis_inputs, check_channel,
                        parse_condition, random_inputs, run_reversible_table)
 from .circuits.simulate import ChannelReport
+from .scheduler import adder_toffolis
 
 CZ_MATRIX = GATES["CZ"]
 CCZ_MATRIX = GATES["CCZ"]
@@ -189,7 +190,7 @@ _MUX_FRAMES: dict[str, tuple[tuple[int, str, str], ...]] = {
 }
 
 
-def _mux_ops(apply: bool, include_frames: bool = True) -> tuple:
+def _mux_ops(apply: bool) -> tuple:
     L, R = _MUX_L, _MUX_R
     ops: list = []
     for s in (L, R):
@@ -213,9 +214,8 @@ def _mux_ops(apply: bool, include_frames: bool = True) -> tuple:
         Measure(R["eA"], "era", live), Measure(R["eB"], "erb", dead),
         Measure(R["yA"], "yra", live), Measure(R["yB"], "yrb", dead),
     ]
-    if include_frames:
-        for qubit, pauli, cond in _MUX_FRAMES["apply" if apply else "skip"]:
-            ops.append(FrameUpdate(qubit, pauli, parse_condition(cond)))
+    for qubit, pauli, cond in _MUX_FRAMES["apply" if apply else "skip"]:
+        ops.append(FrameUpdate(qubit, pauli, parse_condition(cond)))
     return tuple(ops)
 
 
@@ -287,8 +287,9 @@ def _ccx(a: int, b: int, t: int) -> tuple:
 
 
 def build_cuccaro_adder(bits: int) -> tuple[Circuit, AdderSpec]:
-    """In-place ripple-carry adder with a fused apex: 2m-3 CCZs for an
-    m-bit target register, which is also its serial measurement depth."""
+    """In-place ripple-carry adder with a fused apex: one CCZ per Toffoli
+    of ``scheduler.adder_toffolis`` for an m-bit target register, which
+    is also its serial measurement depth."""
     m = bits
     if m < 2:
         raise ValueError("adder needs at least 2 bits")
@@ -316,7 +317,7 @@ def build_cuccaro_adder(bits: int) -> tuple[Circuit, AdderSpec]:
         c_wire=0,
         t_wires=tuple(t),
         i_wires=tuple(i),
-        toffoli_count=2 * m - 3,
+        toffoli_count=adder_toffolis(m),
     )
     return circuit, spec
 
@@ -336,7 +337,7 @@ check_channel_by_linearity = check_channel
 
 
 def verify_construction(construction: Construction, *, random_count: int = 3,
-                        seed: int = 11, atol: float = 1e-9) -> ChannelReport:
+                        seed: int = 11) -> ChannelReport:
     """Exact channel check of a construction: one Kraus operator per
     outcome string, each compared with the target, plus all basis inputs
     and seeded random inputs evaluated through them."""
@@ -345,7 +346,7 @@ def verify_construction(construction: Construction, *, random_count: int = 3,
     return check_channel(
         c.circuit, c.target,
         inputs=basis_inputs(k) + random_inputs(k, random_count, seed=seed),
-        output_qubits=c.output_qubits, atol=atol)
+        output_qubits=c.output_qubits)
 
 
 def _read_wires(index: np.ndarray, n: int, wires) -> np.ndarray:

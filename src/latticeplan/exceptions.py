@@ -7,7 +7,8 @@ class ContractError(RuntimeError):
 
 
 class CapacityError(ValueError):
-    """A floorplan request does not fit the stated footprint bounds."""
+    """A request exceeds a size cap: qubits, table width, trace events,
+    tensor values, floorplan tiles or the stated footprint bounds."""
 
 
 class ConfigError(ValueError):

@@ -13,8 +13,13 @@ from fractions import Fraction
 from .exceptions import ConfigError
 
 THRESHOLD_ERROR = 0.01
+SUPPRESSION_CONSTANT = 0.1
 
-PATCHES_PER_FACTORY = 15 * 8
+# Six level-1 T factories feed the 8 T states of each CCZ state, and a
+# whole factory is a 15 x 8 block of logical patches.
+T1_FACTORY_COUNT = 6
+T_STATES_PER_CCZ = 8
+FACTORY_W, FACTORY_H = 15, 8
 
 
 def _frac(x) -> Fraction:
@@ -30,7 +35,6 @@ class PhysicalAssumptions:
     cycle_time_us: Fraction = Fraction(1)
     reaction_time_us: Fraction = Fraction(10)
     gate_error: float = 1e-3
-    connectivity: str = "planar"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cycle_time_us", _frac(self.cycle_time_us))
@@ -38,8 +42,6 @@ class PhysicalAssumptions:
                            _frac(self.reaction_time_us))
         if self.cycle_time_us <= 0 or self.reaction_time_us <= 0:
             raise ValueError("times must be positive")
-        if self.connectivity != "planar":
-            raise ValueError("only planar connectivity is modeled")
         if not 0 < self.gate_error:
             raise ValueError("gate_error must be positive")
         if self.gate_error >= THRESHOLD_ERROR:
@@ -49,15 +51,15 @@ class PhysicalAssumptions:
 
 @dataclasses.dataclass(frozen=True)
 class FactorySpec:
-    """Two-level CCZ factory: six level-1 T factories feed one level-2
-    unit that consumes 8 T states per CCZ state."""
+    """Two-level CCZ factory with level-1 distance d1 and level-2
+    distance d2. The T-factory count, T states per CCZ and the 15 x 8
+    footprint are the module constants. ``injection_style`` "legacy"
+    drops the overlapped final injection layer, the baseline the
+    overlapped depth improves on."""
 
     d1: int = 17
     d2: int = 27
     injection_style: str = "overlapped"
-    t1_factory_count: int = 6
-    t_states_per_ccz: int = 8
-    footprint: tuple[int, int] = (15, 8)
 
     def __post_init__(self) -> None:
         for d in (self.d1, self.d2):
@@ -98,8 +100,7 @@ def qubits_per_patch(d: int) -> int:
 def physical_qubits(spec: FactorySpec, n_factories: int) -> int:
     if n_factories < 1:
         raise ValueError("need at least one factory")
-    w, h = spec.footprint
-    return n_factories * w * h * qubits_per_patch(spec.d2)
+    return n_factories * FACTORY_W * FACTORY_H * qubits_per_patch(spec.d2)
 
 
 def ccz_rate(spec: FactorySpec,
@@ -109,7 +110,7 @@ def ccz_rate(spec: FactorySpec,
     cycle = assumptions.cycle_time_us
     level2 = 1000 / (spec.ccz_depth_cycles * cycle)
     level1 = 1000 / (spec.t1_depth_cycles * cycle
-                     * spec.t_states_per_ccz / spec.t1_factory_count)
+                     * T_STATES_PER_CCZ / T1_FACTORY_COUNT)
     effective = min(level2, level1)
     limiting = "level2" if level2 <= level1 else "level1"
     # one CCZ state per reaction time
@@ -131,12 +132,11 @@ def factories_for_reaction_limit(spec: FactorySpec,
     return ccz_rate(spec, assumptions).factories_needed
 
 
-def logical_error_rate(d: int, gate_error: float, *,
-                       constant: float = 0.1,
-                       threshold: float = THRESHOLD_ERROR) -> float:
+def logical_error_rate(d: int, gate_error: float) -> float:
     """Per-patch, per-d-cycles logical error: the standard exponential
-    suppression fit constant * (p/p_th)^((d+1)/2)."""
-    return constant * (gate_error / threshold) ** ((d + 1) // 2)
+    suppression fit SUPPRESSION_CONSTANT * (p/p_th)^((d+1)/2)."""
+    return SUPPRESSION_CONSTANT \
+        * (gate_error / THRESHOLD_ERROR) ** ((d + 1) // 2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,24 +153,24 @@ class DistanceSelection:
 LEVEL1_VOLUME_WEIGHT = 0.1
 LEVEL2_VOLUME_WEIGHT = 2e4
 
+ERROR_BUDGET = 0.01
+T_FACTORY_FALLBACK_VOLUME = 1e13
+
 _MAX_DISTANCE = 199
 
 
 def select_code_distances(assumptions: PhysicalAssumptions,
-                          target_volume: float, *,
-                          budget: float = 0.01,
-                          fallback_volume: float = 1e13
-                          ) -> DistanceSelection:
+                          target_volume: float) -> DistanceSelection:
     """Smallest odd distances keeping the modeled total logical error of
-    target_volume CCZ states under the budget, split evenly between the
-    two levels. Above fallback_volume the report advises switching the
-    level-2 stage to T factories."""
+    target_volume CCZ states under ERROR_BUDGET, split evenly between the
+    two levels. Above T_FACTORY_FALLBACK_VOLUME the report advises
+    switching the level-2 stage to T factories."""
     if target_volume < 1:
         raise ValueError("target volume must be at least 1")
     if assumptions.gate_error >= THRESHOLD_ERROR:
         raise ValueError(
             "gate_error too close to threshold for tractable computation")
-    half = budget / 2
+    half = ERROR_BUDGET / 2
 
     def pick(weight: float) -> int:
         for d in range(3, _MAX_DISTANCE + 2, 2):
@@ -183,28 +183,28 @@ def select_code_distances(assumptions: PhysicalAssumptions,
     return DistanceSelection(
         d1=pick(LEVEL1_VOLUME_WEIGHT),
         d2=pick(LEVEL2_VOLUME_WEIGHT),
-        t_factory_fallback=target_volume > fallback_volume,
+        t_factory_fallback=target_volume > T_FACTORY_FALLBACK_VOLUME,
     )
 
 
-def format_khz(rate: Fraction) -> str:
-    """Two significant digits, matching how rates are quoted."""
-    v = float(rate)
+def _two_digits(v: float) -> str:
+    """Two significant digits as %g writes them, or the rounded whole
+    number where %g would switch to an exponent."""
     s = f"{v:.2g}"
-    if "e" in s:
-        s = str(int(round(v)))
-    return s
+    return str(int(round(v))) if "e" in s else s
+
+
+def format_khz(rate: Fraction) -> str:
+    """A rate as it is quoted: two significant digits."""
+    return _two_digits(float(rate))
 
 
 def format_ms(ns: int) -> str:
-    v = ns / 1e6
-    s = f"{v:.2g}"
-    if "e" in s:
-        s = str(int(round(v)))
-    return s + " ms"
+    return _two_digits(ns / 1e6) + " ms"
 
 
-_ASSUMPTION_KEYS = ("cycle_time_us", "reaction_time_us", "gate_error")
+_KEY_TYPES = {"cycle_time_us": Fraction, "reaction_time_us": Fraction,
+              "gate_error": float, "d1": int, "d2": int}
 _OVERRIDE_KEYS = ("d1", "d2")
 
 
@@ -212,7 +212,8 @@ def parse_assumptions_file(text: str) -> tuple[PhysicalAssumptions, dict]:
     """Key/value config: `key = value`, '#' comments. Returns assumptions
     plus optional d1/d2 overrides. Unknown keys are rejected with their
     line number."""
-    values: dict[str, str] = {}
+    kwargs: dict = {}
+    overrides: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -222,31 +223,17 @@ def parse_assumptions_file(text: str) -> tuple[PhysicalAssumptions, dict]:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _ASSUMPTION_KEYS + _OVERRIDE_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        values = overrides if key in _OVERRIDE_KEYS else kwargs
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = val
         try:
-            if key in _OVERRIDE_KEYS:
-                int(val)
-            elif key == "gate_error":
-                float(val)
-            else:
-                Fraction(val)
-        except ValueError:
+            values[key] = _KEY_TYPES[key](val)
+        except (ValueError, ZeroDivisionError):
             raise ConfigError(
                 f"line {lineno}: bad value {val!r} for {key}") from None
-    kwargs = {}
-    if "cycle_time_us" in values:
-        kwargs["cycle_time_us"] = Fraction(values["cycle_time_us"])
-    if "reaction_time_us" in values:
-        kwargs["reaction_time_us"] = Fraction(values["reaction_time_us"])
-    if "gate_error" in values:
-        kwargs["gate_error"] = float(values["gate_error"])
     try:
-        assumptions = PhysicalAssumptions(**kwargs)
+        return PhysicalAssumptions(**kwargs), overrides
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    overrides = {k: int(values[k]) for k in _OVERRIDE_KEYS if k in values}
-    return assumptions, overrides

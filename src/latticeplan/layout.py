@@ -3,7 +3,8 @@
 Grid cells are logical patches. Factories keep their 15x8 footprint, each
 with two 4x3 fixup boxes facing the central MAJ strip, and one-wide gap
 lanes run between factory columns so every data row can route to the
-strip.
+strip. The geometry is fixed: the sizes below are constants, and a plan
+depends only on its register size and factory count.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .exceptions import CapacityError
-from .factory import FactorySpec
+from .factory import FACTORY_H, FACTORY_W, FactorySpec
 
 ROLES = (
     "ccz_factory",
@@ -43,8 +45,16 @@ ROLE_COLORS = {
     "unused": "#ffffff",
 }
 
-FACTORY_W, FACTORY_H = 15, 8
 MAJ_STRIP_H = 3
+FACTORY_PITCH = FACTORY_W + 1  # a factory and the gap lane to its right
+FIXUP_W, FIXUP_H = 4, 3
+DATA_STRIDE = 2  # columns per data patch, leaving surgery access space
+MAX_DATA_ROWS = 40  # per side of the MAJ strip
+LOOKUP_WIDTH, ITERATION_ROWS = 40, 3
+BLOCK_CYCLES = 5  # duration of each reference volume block
+# Largest grid a plan builds: validating a plan and exporting it as SVG
+# hold about 300 bytes per tile, so 2^21 tiles peak near 600 MB.
+MAX_TILES = 1 << 21
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,11 +85,17 @@ class Floorplan:
         return sum(row.count(role) for row in self.grid)
 
 
-def data_row_capacity(width: int, n_lanes: int, stride: int = 2) -> int:
+def data_row_capacity(width: int, n_lanes: int) -> int:
     """Patches per data row: lanes are excluded and patches sit every
-    `stride` columns, leaving surgery access space in between."""
-    usable = width - n_lanes
-    return math.ceil(usable / stride)
+    DATA_STRIDE columns."""
+    return math.ceil((width - n_lanes) / DATA_STRIDE)
+
+
+def _check_tiles(width: int, height: int) -> None:
+    """Refuse a grid over MAX_TILES before any of it is built."""
+    if width * height > MAX_TILES:
+        raise CapacityError(f"{width} x {height} plan exceeds the cap of "
+                            f"{MAX_TILES} tiles")
 
 
 def _paint(grid: list[list[str]], x: int, y: int, w: int, h: int,
@@ -111,11 +127,13 @@ def _flood(plan: Floorplan, seeds: list[tuple[int, int]],
     return reached
 
 
-def plan_adder_layout(bits: int, spec: FactorySpec, n_factories: int, *,
-                      stride: int = 2, fixup_size: tuple[int, int] = (4, 3),
-                      max_data_rows: int = 40) -> Floorplan:
-    """Factories split front/back of the MAJ strip; target and offset
-    register rows alternate in the data regions above and below."""
+def plan_adder_layout(bits: int, spec: FactorySpec,
+                      n_factories: int) -> Floorplan:
+    """Factories split front/back of the MAJ strip, FACTORY_PITCH apart;
+    target and offset register rows alternate in the data regions above
+    and below, DATA_STRIDE columns per patch and at most MAX_DATA_ROWS
+    rows a side. Raises CapacityError when the rows or the grid do not
+    fit."""
     if bits < 2:
         raise ValueError("adder needs at least 2 bits")
     if n_factories < 2:
@@ -123,41 +141,42 @@ def plan_adder_layout(bits: int, spec: FactorySpec, n_factories: int, *,
     front = math.ceil(n_factories / 2)
     back = n_factories - front
     if front >= 2:
-        width = 16 * front - 1
-        lanes = tuple(16 * i + FACTORY_W for i in range(front - 1))
+        width = FACTORY_PITCH * front - 1
+        lanes = tuple(FACTORY_PITCH * i + FACTORY_W
+                      for i in range(front - 1))
     else:
-        width = FACTORY_W + 1
+        width = FACTORY_PITCH
         lanes = (FACTORY_W,)
 
-    cap = data_row_capacity(width, len(lanes), stride)
+    cap = data_row_capacity(width, len(lanes))
     target_rows = math.ceil(bits / cap)
     offset_rows = math.ceil((bits - 1) / cap)
     total_rows = target_rows + offset_rows
-    if total_rows > 2 * max_data_rows:
-        need_cap = math.ceil((2 * bits - 1) / (2 * max_data_rows))
-        need_w = (need_cap * stride - 1) + len(lanes)
+    if total_rows > 2 * MAX_DATA_ROWS:
+        need_cap = math.ceil((2 * bits - 1) / (2 * MAX_DATA_ROWS))
+        need_w = (need_cap * DATA_STRIDE - 1) + len(lanes)
         raise CapacityError(
             f"{bits}-bit adder needs {total_rows} data rows but only "
-            f"{2 * max_data_rows} fit; need width >= {need_w} "
+            f"{2 * MAX_DATA_ROWS} fit; need width >= {need_w} "
             f"(have {width})")
     sequence = ["data_row_target" if i % 2 == 0 else "data_row_offset"
                 for i in range(total_rows)]
     top_rows = sequence[:math.ceil(total_rows / 2)]
     bottom_rows = sequence[math.ceil(total_rows / 2):]
 
-    fw, fh = fixup_size
     front_band = len(top_rows)
     front_fixups = front_band + FACTORY_H
-    maj_top = front_fixups + fh
+    maj_top = front_fixups + FIXUP_H
     back_fixups = maj_top + MAJ_STRIP_H
-    back_band = back_fixups + fh
+    back_band = back_fixups + FIXUP_H
     height = back_band + FACTORY_H + len(bottom_rows)
+    _check_tiles(width, height)
     grid = [["unused"] * width for _ in range(height)]
     for y, role in enumerate(top_rows):
         _paint(grid, 0, y, width, 1, role)
-    _paint(grid, 0, front_fixups, width, fh, "gap")
+    _paint(grid, 0, front_fixups, width, FIXUP_H, "gap")
     _paint(grid, 0, maj_top, width, MAJ_STRIP_H, "maj_area")
-    _paint(grid, 0, back_fixups, width, fh, "gap")
+    _paint(grid, 0, back_fixups, width, FIXUP_H, "gap")
     for y, role in enumerate(bottom_rows, start=back_band + FACTORY_H):
         _paint(grid, 0, y, width, 1, role)
 
@@ -166,13 +185,14 @@ def plan_adder_layout(bits: int, spec: FactorySpec, n_factories: int, *,
     for count, band_y, fix_y in ((front, front_band, front_fixups),
                                  (back, back_band, back_fixups)):
         for i in range(count):
-            fx = 16 * i
+            fx = FACTORY_PITCH * i
             factories.append((fx, band_y))
             _paint(grid, fx, band_y, FACTORY_W, FACTORY_H, "ccz_factory")
             # fixup boxes sit on the factory's MAJ-facing side
             for off in (2, 8):
-                fixup_boxes.append((fx + off, fix_y, fw, fh))
-                _paint(grid, fx + off, fix_y, fw, fh, "fixup_box")
+                fixup_boxes.append((fx + off, fix_y, FIXUP_W, FIXUP_H))
+                _paint(grid, fx + off, fix_y, FIXUP_W, FIXUP_H,
+                       "fixup_box")
 
     # lanes cut every band but the MAJ strip
     below = maj_top + MAJ_STRIP_H
@@ -192,7 +212,7 @@ def plan_adder_layout(bits: int, spec: FactorySpec, n_factories: int, *,
             "kind": "adder",
             "bits": bits,
             "n_factories": n_factories,
-            "stride": stride,
+            "stride": DATA_STRIDE,
             "row_capacity": cap,
             "target_rows": target_rows,
             "offset_rows": offset_rows,
@@ -200,33 +220,26 @@ def plan_adder_layout(bits: int, spec: FactorySpec, n_factories: int, *,
     )
 
 
-def plan_lookup_layout(register_rows: int, spec: FactorySpec, *,
-                       width: int = 40,
-                       iteration_rows: int = 3) -> Floorplan:
-    """Lookup register stack: target rows (L) share access rows (_) with
-    parked rows (R) in the repeating pattern R_L_L_R, with full-height
-    access corridors on both sides and a reserved iteration region."""
+def plan_lookup_layout(register_rows: int, spec: FactorySpec) -> Floorplan:
+    """Lookup register stack, LOOKUP_WIDTH wide: target rows (L) share
+    access rows (_) with parked rows (R) in the repeating pattern R_L_L_R,
+    with full-height access corridors on both sides and ITERATION_ROWS
+    rows of iteration region below. Raises CapacityError when the grid
+    does not fit."""
     if register_rows < 1:
         raise ValueError("need at least one register row")
-    if width < 8:
-        raise ValueError("width too small for a lookup plan")
-    if register_rows == 1:
-        pattern = ["R", "_", "L", "_"]
-    else:
-        pattern = ["R"]
-        remaining = register_rows
-        while remaining >= 2:
-            pattern += ["_", "L", "_", "L", "_", "R"]
-            remaining -= 2
-        if remaining == 1:
-            pattern += ["_", "L", "_", "R"]
+    pairs, odd = divmod(register_rows, 2)
+    stack = 4 if register_rows == 1 else 1 + 6 * pairs + 4 * odd
+    width, height = LOOKUP_WIDTH, stack + ITERATION_ROWS
+    _check_tiles(width, height)
+    pattern = "R_L_" if register_rows == 1 \
+        else "R" + "_L_L_R" * pairs + "_L_R" * odd
     role_of = {"R": "data_row_idle", "L": "data_row_target",
                "_": "access_row"}
-    height = len(pattern) + iteration_rows
     grid = [["unused"] * width for _ in range(height)]
     for y, sym in enumerate(pattern):
         _paint(grid, 1, y, width - 2, 1, role_of[sym])
-    _paint(grid, 1, len(pattern), width - 2, iteration_rows, "maj_area")
+    _paint(grid, 1, stack, width - 2, ITERATION_ROWS, "maj_area")
     _paint(grid, 0, 0, 1, height, "access_corridor")
     _paint(grid, width - 1, 0, 1, height, "access_corridor")
     return Floorplan(
@@ -240,8 +253,8 @@ def plan_lookup_layout(register_rows: int, spec: FactorySpec, *,
         meta={
             "kind": "lookup",
             "register_rows": register_rows,
-            "pattern": "".join(pattern),
-            "iteration_rows": iteration_rows,
+            "pattern": pattern,
+            "iteration_rows": ITERATION_ROWS,
         },
     )
 
@@ -306,13 +319,13 @@ def validate_fixups(plan: Floorplan) -> None:
     if len(rects) != 2 * len(plan.factories):
         raise ValueError(f"expected {2 * len(plan.factories)} fixup "
                          f"boxes, found {len(rects)}")
+    factories = Counter(plan.factories)
     for bx, by, bw, bh in rects:
-        owners = [
-            (fx, fy) for fx, fy in plan.factories
-            if fx <= bx and bx + bw <= fx + FACTORY_W
-            and (by + bh == fy or fy + FACTORY_H == by)
-        ]
-        if len(owners) != 1:
+        # an owner sits right above or below the box and spans it
+        owners = sum(factories[fx, fy]
+                     for fx in range(bx + bw - FACTORY_W, bx + 1)
+                     for fy in (by + bh, by - FACTORY_H))
+        if owners != 1:
             raise ValueError(f"fixup box at ({bx}, {by}) is not attached "
                              f"to exactly one factory")
 
@@ -338,17 +351,19 @@ def validate_gaps(plan: Floorplan) -> None:
 
 def validate_overlap(plan: Floorplan) -> None:
     """Annotated factory and fixup rectangles stay inside the grid and
-    never overlap each other."""
+    never overlap each other: no tile is covered twice."""
     boxes = [(x, y, FACTORY_W, FACTORY_H) for x, y in plan.factories]
     boxes += list(plan.fixup_boxes)
     for x, y, w, h in boxes:
         if x < 0 or y < 0 or x + w > plan.width or y + h > plan.height:
             raise ValueError(f"box ({x}, {y}, {w}, {h}) leaves the grid")
-    for i, (x1, y1, w1, h1) in enumerate(boxes):
-        for x2, y2, w2, h2 in boxes[i + 1:]:
-            if x1 < x2 + w2 and x2 < x1 + w1 \
-                    and y1 < y2 + h2 and y2 < y1 + h1:
-                raise ValueError("overlapping boxes")
+    covered: set[tuple[int, int]] = set()
+    for x, y, w, h in boxes:
+        tiles = {(xx, yy) for xx in range(x, x + w)
+                 for yy in range(y, y + h)}
+        if not covered.isdisjoint(tiles):
+            raise ValueError("overlapping boxes")
+        covered |= tiles
 
 
 def validate_reachability(plan: Floorplan) -> None:
@@ -439,14 +454,15 @@ def volume_report(components: Iterable[VolumeComponent]) -> VolumeReport:
     return VolumeReport(volumes=volumes, total=sum(volumes.values()))
 
 
-def default_volume_components(d_cycles: int = 5) -> tuple[VolumeComponent, ...]:
-    """Reference blocks: the 3x3 MAJ workspace, and the two-column
-    delayed-choice CZ routing footprint against the eight-column
-    multiplexed baseline (equal heights, so only widths matter)."""
+def default_volume_components() -> tuple[VolumeComponent, ...]:
+    """Reference blocks of BLOCK_CYCLES cycles each: the 3x3 MAJ
+    workspace, and the two-column delayed-choice CZ routing footprint
+    against the eight-column multiplexed baseline (equal heights, so
+    only widths matter)."""
     return (
-        VolumeComponent("maj_block", 3, 3, d_cycles),
-        VolumeComponent("cz_routing_optimized", 2, 1, d_cycles),
-        VolumeComponent("cz_routing_mux", 8, 1, d_cycles),
+        VolumeComponent("maj_block", 3, 3, BLOCK_CYCLES),
+        VolumeComponent("cz_routing_optimized", 2, 1, BLOCK_CYCLES),
+        VolumeComponent("cz_routing_mux", 8, 1, BLOCK_CYCLES),
     )
 
 

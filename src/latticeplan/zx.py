@@ -15,7 +15,9 @@ The Hadamard and the CZ and CCZ targets are the matrices of
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import itertools
 import json
 import math
 
@@ -25,10 +27,16 @@ from .circuits.circuit import (CGate, Circuit, FrameUpdate, Gate, Measure,
                                evaluate_condition)
 from .circuits.frame import apply_pauli
 from .circuits.gates import GATES
+from .circuits.simulate import MAX_KRAUS_VALUES
+from .exceptions import CapacityError
 
 KINDS = ("z", "x", "h", "b", "choice")
 
-DEFAULT_MAX_NODES = 20
+# Caps of evaluate: nodes (the autoccz translation has 70) and values of
+# one tensor (the Kraus walk's 64 MiB; the diagrams here need 512).
+MAX_NODES = 80
+MAX_TENSOR_VALUES = MAX_KRAUS_VALUES
+EQUIV_ATOL = 1e-8
 
 
 @dataclasses.dataclass
@@ -66,24 +74,22 @@ class ZxGraph:
             raise ValueError("edge endpoint does not exist")
         self.edges.append((a, b))
 
-    def degree(self, nid: int) -> int:
-        return sum((a == nid) + (b == nid) for a, b in self.edges)
-
     def choices(self) -> tuple[int, ...]:
         return tuple(sorted(n for n, node in self.nodes.items()
                             if node.kind == "choice"))
 
     def validate(self) -> None:
         for nid in self.inputs + self.outputs:
-            if self.nodes[nid].kind != "b":
+            if nid not in self.nodes or self.nodes[nid].kind != "b":
                 raise ValueError(f"boundary list names non-boundary {nid}")
         boundary = {n for n, node in self.nodes.items() if node.kind == "b"}
         if set(self.inputs) | set(self.outputs) != boundary \
                 or len(self.inputs) + len(self.outputs) != len(boundary):
             raise ValueError("every boundary node must appear exactly once "
                              "in inputs or outputs")
+        degree = collections.Counter(itertools.chain(*self.edges))
         for nid, node in self.nodes.items():
-            d = self.degree(nid)
+            d = degree[nid]
             if node.kind == "h" and d != 2:
                 raise ValueError(f"h node {nid} must have degree 2, has {d}")
             if node.kind in ("b", "choice") and d != 1:
@@ -104,7 +110,7 @@ class ZxGraph:
         "z" deactivates it."""
         if color not in ("z", "x"):
             raise ValueError(f"bad choice color {color!r}")
-        if self.nodes[nid].kind != "choice":
+        if nid not in self.nodes or self.nodes[nid].kind != "choice":
             raise ValueError(f"node {nid} is not a choice")
         g = self.copy()
         g.nodes[nid] = Node(color, 0)
@@ -117,10 +123,19 @@ class ZxGraph:
         return g
 
 
+def _check_size(legs: int) -> None:
+    """Refuse a tensor with ``legs`` legs over MAX_TENSOR_VALUES before it
+    is allocated."""
+    if 1 << legs > MAX_TENSOR_VALUES:
+        raise CapacityError(f"a tensor with {legs} legs exceeds the cap "
+                            f"of {MAX_TENSOR_VALUES} values")
+
+
 def _spider_tensor(kind: str, phase: int, degree: int) -> np.ndarray:
-    t = np.zeros((2,) * degree, dtype=np.complex128)
     if degree == 0:
         raise ValueError("isolated spider")
+    _check_size(degree)
+    t = np.zeros((2,) * degree, dtype=np.complex128)
     t[(0,) * degree] = 1.0
     t[(1,) * degree] = np.exp(1j * math.pi * phase / 4)
     if kind == "x":
@@ -130,20 +145,21 @@ def _spider_tensor(kind: str, phase: int, degree: int) -> np.ndarray:
     return t
 
 
-def evaluate(graph: ZxGraph, *,
-             max_nodes: int = DEFAULT_MAX_NODES) -> np.ndarray:
+def evaluate(graph: ZxGraph) -> np.ndarray:
     """Contract the diagram to a 2^outputs x 2^inputs matrix.
 
     Greedy pairwise contraction; fine for the chain- and ring-shaped
-    diagrams here. Refuses diagrams above ``max_nodes`` nodes so an
-    accidentally huge diagram fails fast instead of thrashing.
+    diagrams here. Refuses diagrams above MAX_NODES nodes (ValueError),
+    and any spider or contraction result over MAX_TENSOR_VALUES values
+    (CapacityError) before allocating it, so an accidentally huge or
+    densely wired diagram fails fast instead of thrashing.
     """
     graph.validate()
     if graph.choices():
         raise ValueError("diagram still has unresolved choice nodes")
-    if len(graph.nodes) > max_nodes:
+    if len(graph.nodes) > MAX_NODES:
         raise ValueError(
-            f"{len(graph.nodes)} nodes exceeds max_nodes={max_nodes}")
+            f"{len(graph.nodes)} nodes exceeds the cap of {MAX_NODES}")
 
     next_edge = 0
     incident: dict[int, list[int]] = {n: [] for n in graph.nodes}
@@ -171,11 +187,14 @@ def evaluate(graph: ZxGraph, *,
     external = {ext_legs[n] for n in ext_legs}
 
     def contract(i: int, j: int) -> None:
+        """Replace tensors i and j by their product over shared legs, an
+        outer product when they share none."""
         t1, l1 = tensors[i]
         t2, l2 = tensors[j]
         shared = [e for e in l1 if e in l2]
         ax1 = [l1.index(e) for e in shared]
         ax2 = [l2.index(e) for e in shared]
+        _check_size(t1.ndim + t2.ndim - 2 * len(shared))
         out = np.tensordot(t1, t2, axes=(ax1, ax2))
         legs = [e for e in l1 if e not in shared] \
             + [e for e in l2 if e not in shared]
@@ -193,16 +212,9 @@ def evaluate(graph: ZxGraph, *,
                     - 2 * len(shared)
                 if best is None or size < best[0]:
                     best = (size, i, j)
-        if best is None:
-            # disconnected components: outer product
-            contract_i, contract_j = 0, 1
-            t1, l1 = tensors[contract_i]
-            t2, l2 = tensors[contract_j]
-            tensors[contract_i] = (np.tensordot(t1, t2, axes=0)
-                                   .reshape(t1.shape + t2.shape), l1 + l2)
-            del tensors[contract_j]
-        else:
-            contract(best[1], best[2])
+        # with no shared legs left, the components join by outer product
+        _, i, j = best or (0, 0, 1)
+        contract(i, j)
 
     t, legs = tensors[0]
     assert set(legs) == external, "leftover internal legs"
@@ -213,10 +225,10 @@ def evaluate(graph: ZxGraph, *,
         t.reshape(1 << len(graph.outputs), 1 << len(graph.inputs)))
 
 
-def equiv_mod_pauli_scalar(actual: np.ndarray, expected: np.ndarray,
-                           atol: float = 1e-8) -> bool:
+def equiv_mod_pauli_scalar(actual: np.ndarray, expected: np.ndarray
+                           ) -> bool:
     """True when actual = scalar * P_out @ expected @ P_in for some Pauli
-    strings.
+    strings, to within EQUIV_ATOL.
 
     Up to a sign, P_out @ expected @ P_in is the string P_out (x) P_in
     applied to the flattened matrix, so the candidates are all (x, z)
@@ -230,15 +242,16 @@ def equiv_mod_pauli_scalar(actual: np.ndarray, expected: np.ndarray,
     flat = expected.reshape(-1)
     size = flat.size
     denom = float(np.vdot(flat, flat).real)
-    if denom < atol:
+    if denom < EQUIV_ATOL:
         return False
     z = np.arange(size)
     for x in range(size):
         cand = apply_pauli(np.broadcast_to(flat, (size, size)),
                            np.full(size, x), z)
         scale = (cand.conj() @ target / denom)[:, None]
-        close = np.isclose(target, scale * cand, atol=atol).all(axis=1)
-        if np.any(close & (np.abs(scale[:, 0]) >= atol)):
+        close = np.isclose(target, scale * cand,
+                           atol=EQUIV_ATOL).all(axis=1)
+        if np.any(close & (np.abs(scale[:, 0]) >= EQUIV_ATOL)):
             return True
     return False
 
@@ -428,19 +441,28 @@ TARGETS: dict[str, np.ndarray] = {
 }
 
 
-def run_fixture(text: str, *,
-                max_nodes: int = 80) -> list[tuple[str, bool]]:
+def run_fixture(text: str) -> list[tuple[str, bool]]:
     """Check a fixture document: a diagram with choice stubs plus cases
-    mapping choice resolutions to named targets."""
+    mapping choice resolutions to named targets.
+
+    A malformed document, a target not in TARGETS or a choice that names
+    no stub raises ValueError; a diagram too large to evaluate raises as
+    ``evaluate`` does.
+    """
     doc = json.loads(text)
-    graph = graph_from_json(json.dumps(doc["graph"]))
+    try:
+        graph = graph_from_json(json.dumps(doc["graph"]))
+        cases = [({int(k): v for k, v in case["choices"].items()},
+                  case["target"]) for case in doc["cases"]]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed fixture: {type(exc).__name__} {exc}") \
+            from None
     results = []
-    for case in doc["cases"]:
-        colors = {int(k): v for k, v in case["choices"].items()}
-        target = TARGETS[case["target"]]
-        resolved = graph.resolve_choices(colors)
-        got = evaluate(resolved, max_nodes=max_nodes)
-        ok = equiv_mod_pauli_scalar(got, target)
+    for colors, name in cases:
+        if not isinstance(name, str) or name not in TARGETS:
+            raise ValueError(f"unknown target {name!r}")
+        got = evaluate(graph.resolve_choices(colors))
+        ok = equiv_mod_pauli_scalar(got, TARGETS[name])
         label = ",".join(f"{k}={v}" for k, v in sorted(colors.items()))
-        results.append((f"{case['target']} [{label}]", ok))
+        results.append((f"{name} [{label}]", ok))
     return results

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from latticeplan import cli, scheduler
+from latticeplan import cli, layout, scheduler, zx
 
 FIXTURE = str(pathlib.Path(__file__).parent.parent / "fixtures"
               / "delayed_choice_cz.json")
@@ -342,3 +342,73 @@ def test_layout_capacity_exit_code(capsys):
     code, _, err = run(capsys, "layout", "--m", "3000")
     assert code == 1
     assert "data rows" in err
+
+
+def test_layout_lookup_over_the_tile_cap(capsys):
+    # refused before the 300-million-row register pattern is built
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "layout", "--rows", "100000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert err == (f"error: 40 x 300000004 plan exceeds the cap of "
+                   f"{layout.MAX_TILES} tiles\n")
+    assert peak < 1 << 20
+
+
+def test_layout_adder_over_the_tile_cap(capsys):
+    code, _, err = run(capsys, "layout", "--m", "10", "--factories", "20000")
+    assert code == 1
+    assert err == (f"error: 159999 x 27 plan exceeds the cap of "
+                   f"{layout.MAX_TILES} tiles\n")
+
+
+# --------------------------------------------------------- zx fixtures
+
+
+def _verify_fixture(tmp_path, capsys, doc):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(doc))
+    return run(capsys, "verify", "cz-apply", "--zx", str(path))
+
+
+def _fixture_doc():
+    return json.loads(pathlib.Path(FIXTURE).read_text())
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: {}, "malformed fixture: KeyError 'graph'"),
+    (lambda doc: [], "malformed fixture: TypeError"),
+    (lambda doc: {**doc, "cases": [{**doc["cases"][0], "target": "CCX"}]},
+     "unknown target 'CCX'"),
+    (lambda doc: {**doc, "cases": [{"choices": {"999": "x"},
+                                    "target": "CZ"}]},
+     "node 999 is not a choice"),
+], ids=["empty object", "list", "unknown target", "unknown choice"])
+def test_malformed_zx_fixture_is_one_error_line(tmp_path, capsys, edit,
+                                                message):
+    code, out, err = _verify_fixture(tmp_path, capsys, edit(_fixture_doc()))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_wide_zx_spider_is_refused_before_allocating(tmp_path, capsys):
+    # spider 1 has 36 legs: 2^36 amplitudes, 1 TiB
+    graph = {"nodes": [{"id": 0, "kind": "b"}, {"id": 1, "kind": "z"},
+                       {"id": 2, "kind": "z"}],
+             "edges": [[0, 1]] + [[1, 2]] * 35,
+             "inputs": [], "outputs": [0]}
+    doc = {"graph": graph, "cases": [{"choices": {}, "target": "I2"}]}
+    tracemalloc.start()
+    try:
+        code, _, err = _verify_fixture(tmp_path, capsys, doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert err == (f"error: a tensor with 36 legs exceeds the cap of "
+                   f"{zx.MAX_TENSOR_VALUES} values\n")
+    assert peak < 1 << 20

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from latticeplan import constructions as C
 from latticeplan.circuits import (CGate, Circuit, basis_inputs,
                                   check_channel, enumerate_branches,
-                                  run_reversible, run_reversible_table)
+                                  run_reversible_table)
+
+
+def run_bits(circuit: Circuit, bits: str) -> str:
+    """The output bit string of one input, read off the truth table."""
+    out = run_reversible_table(circuit)[int(bits, 2)]
+    return format(int(out), f"0{circuit.num_qubits}b")
 
 
 def pack_adder_input(spec, c_in: int, a: int, b: int) -> str:
@@ -150,7 +156,7 @@ def test_ring_resource_op_shape():
 @pytest.mark.parametrize("bits", range(8))
 def test_maj_computes_majority(bits):
     c, b, a = (bits >> 2) & 1, (bits >> 1) & 1, bits & 1
-    out = run_reversible(C.build_maj(), f"{c}{b}{a}")
+    out = run_bits(C.build_maj(), f"{c}{b}{a}")
     assert int(out[2]) == majority(a, b, c)
     assert int(out[0]) == c ^ a
     assert int(out[1]) == b ^ a
@@ -160,7 +166,7 @@ def test_maj_computes_majority(bits):
 def test_maj_then_uma_restores_carry_and_a(bits):
     c, b, a = (bits >> 2) & 1, (bits >> 1) & 1, bits & 1
     circuit = Circuit(3, C.build_maj().operations + C.build_uma().operations)
-    out = run_reversible(circuit, f"{c}{b}{a}")
+    out = run_bits(circuit, f"{c}{b}{a}")
     assert out == f"{c}{a ^ b ^ c}{a}"
 
 
@@ -269,7 +275,7 @@ def test_adder_pack_unpack_round_trip():
 
 def test_adder_worked_example():
     circuit, spec = C.build_cuccaro_adder(3)
-    out = run_reversible(circuit, pack_adder_input(spec, 1, 2, 5))
+    out = run_bits(circuit, pack_adder_input(spec, 1, 2, 5))
     c, a, s = unpack_adder_output(spec, out)
     assert (c, a, s) == (1, 2, (2 + 5 + 1) % 8)
 

@@ -164,7 +164,6 @@ def test_factory_spec_validation(kwargs):
 @pytest.mark.parametrize("kwargs", [
     {"cycle_time_us": 0}, {"reaction_time_us": -1},
     {"gate_error": 0.0}, {"gate_error": 0.011},
-    {"connectivity": "all-to-all"},
 ])
 def test_assumption_validation(kwargs):
     with pytest.raises(ValueError):
@@ -203,6 +202,7 @@ def test_parse_assumptions_defaults_when_empty():
     ("d1 = 17\nd1 = 19", "line 2: duplicate key"),
     ("cycle_time_us 2", "line 1: expected key = value"),
     ("gate_error = 0.02", "too close to threshold"),
+    ("reaction_time_us = 1/0", "line 1: bad value '1/0'"),
 ])
 def test_parse_assumptions_errors(text, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -4,6 +4,8 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeplan import layout as L
 from latticeplan.exceptions import CapacityError
@@ -78,10 +80,6 @@ def test_odd_factory_count_splits_front_heavy():
 ])
 def test_data_row_capacity(width, lanes, cap):
     assert L.data_row_capacity(width, lanes) == cap
-
-
-def test_data_row_capacity_stride_one():
-    assert L.data_row_capacity(111, 6, stride=1) == 105
 
 
 def test_capacity_error_names_required_width():
@@ -243,10 +241,9 @@ def test_lookup_iteration_region(lookup_plan):
         3 * (lookup_plan.width - 2)
 
 
-@pytest.mark.parametrize("rows,width", [(0, 40), (2, 7)])
-def test_lookup_argument_validation(rows, width):
+def test_lookup_argument_validation():
     with pytest.raises(ValueError):
-        L.plan_lookup_layout(rows, SPEC, width=width)
+        L.plan_lookup_layout(0, SPEC)
 
 
 # ------------------------------------------------------------ volumes
@@ -311,3 +308,37 @@ def test_svg_deterministic_with_expected_rects(big_plan):
 def test_unknown_export_format(small_plan):
     with pytest.raises(ValueError, match="unknown export format"):
         L.export_floorplan(small_plan, "pdf")
+
+
+# --------------------------------------------------------- properties
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 500), st.integers(2, 30))
+def test_adder_plans_validate_and_round_trip(bits, n):
+    try:
+        plan = L.plan_adder_layout(bits, SPEC, n)
+    except CapacityError as exc:
+        # only a register too long for 80 data rows is refused
+        front = -(-n // 2)
+        width = 16 * front - 1 if front >= 2 else 16
+        cap = L.data_row_capacity(width, max(front - 1, 1))
+        assert -(-bits // cap) + -(-(bits - 1) // cap) > 80
+        assert "data rows" in str(exc)
+        return
+    L.validate_floorplan(plan)
+    data = L.export_floorplan(plan, "json")
+    assert L.export_floorplan(L.import_floorplan(data), "json") == data
+    assert plan.meta["stride"] == 2
+    assert plan.count("ccz_factory") == 120 * n
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 400))
+def test_lookup_plans_validate(rows):
+    plan = L.plan_lookup_layout(rows, SPEC)
+    L.validate_floorplan(plan)
+    assert plan.width == 40
+    assert plan.height == len(plan.meta["pattern"]) + 3
+    assert plan.meta["pattern"].count("L") == rows
+    assert plan.meta["iteration_rows"] == 3

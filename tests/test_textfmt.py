@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from test_branches import adaptive_circuits
 
 from latticeplan.circuits import (Circuit, Gate, Measure, enumerate_branches,
-                                  format_circuit, parse_circuit, plus_state)
+                                  format_circuit, format_condition,
+                                  parse_circuit, parse_condition, plus_state)
 
 SAMPLE = """qubits 3
 init 0 ?
@@ -77,3 +80,15 @@ def test_condition_spacing_is_canonicalized():
     loose = parse_circuit("qubits 2\nmeasure 1 a\nframe z 0 if  a\n")
     tight = parse_circuit("qubits 2\nmeasure 1 a\nframe z 0 if a\n")
     assert format_circuit(loose) == format_circuit(tight)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(adaptive_circuits())
+def test_round_trip_property(circuit):
+    assert parse_circuit(format_circuit(circuit)) == circuit
+
+
+def test_constant_term_round_trips():
+    # "1" is how format_condition writes the empty (constant-1) term
+    for cond in (((), ()), ((), ("m0",)), (("m0",), ())):
+        assert parse_condition(format_condition(cond)) == cond

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticeplan import constructions, zx
+from latticeplan.exceptions import CapacityError
 from latticeplan.circuits import (GATES, Circuit, Gate, enumerate_branches,
                                   plus_state)
 
@@ -96,7 +97,7 @@ def test_translated_gate_matches_matrix(name):
                 operations=(Gate(name, tuple(range(k))),),
                 initial_states=("?",) * k)
     g = zx.zx_from_circuit(c, {})
-    assert zx.equiv_mod_pauli_scalar(zx.evaluate(g, max_nodes=40), u)
+    assert zx.equiv_mod_pauli_scalar(zx.evaluate(g), u)
 
 
 def test_choice_resolution_activates_or_removes():
@@ -123,11 +124,22 @@ def test_evaluate_rejects_unresolved_choices():
         zx.evaluate(g)
 
 
+def _chain(spiders):
+    """A wire through ``spiders`` z spiders: spiders + 2 nodes."""
+    g = zx.ZxGraph()
+    ends = [g.add_node("b")] + [g.add_node("z") for _ in range(spiders)]
+    ends.append(g.add_node("b"))
+    for a, b in zip(ends, ends[1:]):
+        g.add_edge(a, b)
+    g.inputs, g.outputs = [ends[0]], [ends[-1]]
+    return g
+
+
 def test_evaluate_node_budget():
-    g = zx.ring_resource_graph()
-    with pytest.raises(ValueError):
-        zx.evaluate(g)  # 35 nodes over the default 20 cap
-    zx.evaluate(g, max_nodes=40)
+    m = zx.evaluate(_chain(78))  # 80 nodes, at the cap
+    assert zx.equiv_mod_pauli_scalar(m, np.eye(2))
+    with pytest.raises(ValueError, match="81 nodes exceeds the cap of 80"):
+        zx.evaluate(_chain(79))
 
 
 def test_equiv_mod_pauli_scalar_cases():
@@ -160,12 +172,12 @@ def test_figure_graph_equals_translated_circuit():
         for bits in itertools.product((0, 1), repeat=2):
             outcomes = dict(zip(("m1", "m2"), bits))
             g = zx.zx_from_circuit(cons.circuit, outcomes)
-            m = zx.evaluate(g, max_nodes=60)
+            m = zx.evaluate(g)
             assert zx.equiv_mod_pauli_scalar(m, target), (apply_mode, bits)
 
 
 def test_ring_resource_graph_matches_statevector():
-    m = zx.evaluate(zx.ring_resource_graph(), max_nodes=40)
+    m = zx.evaluate(zx.ring_resource_graph())
     ops = [Gate(g.name, tuple(q - 3 for q in g.qubits))
            for g in constructions.ring_resource_ops()]
     c = Circuit(num_qubits=9, operations=tuple(ops),
@@ -182,7 +194,7 @@ def test_full_autoccz_translation_is_ccz():
     for _ in range(4):
         outcomes = {k: int(v) for k, v in zip(keys, rng.integers(2, size=9))}
         g = zx.zx_from_circuit(cons.circuit, outcomes)
-        m = zx.evaluate(g, max_nodes=100)
+        m = zx.evaluate(g)
         assert zx.equiv_mod_pauli_scalar(m, zx.TARGETS["CCZ"]), outcomes
 
 
@@ -190,7 +202,7 @@ def test_frameless_translation_only_pauli_off():
     cons = constructions.build_delayed_choice_cz(True)
     outcomes = {"m1": 1, "m2": 0}
     g = zx.zx_from_circuit(cons.circuit, outcomes, include_frames=False)
-    m = zx.evaluate(g, max_nodes=60)
+    m = zx.evaluate(g)
     assert zx.equiv_mod_pauli_scalar(m, zx.TARGETS["CZ"])
 
 
@@ -230,7 +242,7 @@ def test_ccz_gadget_phases_sum_per_wire():
         g.add_edge(o, w)
     zx._attach_ccz_gadgets(g, wires)
     g.outputs = outs
-    state = zx.evaluate(g, max_nodes=30)
+    state = zx.evaluate(g)
     expect = (zx.TARGETS["CCZ"] @ plus_state(3)).reshape(-1, 1)
     assert zx.equiv_mod_pauli_scalar(state, expect)
 
@@ -250,3 +262,18 @@ def test_equiv_mod_pauli_scalar_accepts_every_pauli_sandwich(
     p_in = functools.reduce(np.kron, [GATES[p] for p in paulis[2:2 + n_in]])
     c = rng.uniform(0.1, 10) * np.exp(1j * rng.uniform(0, 2 * np.pi))
     assert zx.equiv_mod_pauli_scalar(c * p_out @ e @ p_in, e)
+
+
+def test_evaluate_refuses_a_wide_contraction():
+    # two 13-leg spiders joined by one edge: each fits the cap, but their
+    # product has 24 legs, 2^24 values
+    g = zx.ZxGraph()
+    hubs = [g.add_node("z"), g.add_node("z")]
+    g.add_edge(*hubs)
+    for hub in hubs:
+        for _ in range(12):
+            out = g.add_node("b")
+            g.add_edge(hub, out)
+            g.outputs.append(out)
+    with pytest.raises(CapacityError, match="24 legs exceeds the cap"):
+        zx.evaluate(g)
