@@ -9,6 +9,7 @@ qubits leave the register; no gate may touch them afterwards.
 from __future__ import annotations
 
 import dataclasses
+import re
 from typing import Iterable, Union
 
 from .gates import GATE_ARITY
@@ -20,6 +21,13 @@ Condition = tuple[tuple[str, ...], ...]
 
 TRUE: Condition = ((),)
 FALSE: Condition = ()
+
+
+def _is_key(key: str) -> bool:
+    """A measurement key is a run of ASCII letters, digits and
+    underscores, other than "0" and "1", which a condition reads as its
+    constants."""
+    return bool(re.fullmatch(r"[A-Za-z0-9_]+", key)) and key not in ("0", "1")
 
 
 def evaluate_condition(cond: Condition, outcomes: dict[str, int]) -> int:
@@ -48,7 +56,7 @@ def parse_condition(text: str) -> Condition:
         keys = tuple(k.strip() for k in chunk.split("&"))
         if keys == ("1",):
             keys = ()
-        elif any(not k or not k.replace("_", "").isalnum() for k in keys):
+        elif not all(map(_is_key, keys)):
             raise ValueError(f"bad condition {text!r}")
         terms.append(keys)
     return tuple(terms)
@@ -105,8 +113,8 @@ class Measure:
     def __post_init__(self) -> None:
         if self.basis not in ("z", "x"):
             raise ValueError(f"bad basis {self.basis!r}")
-        if not self.key:
-            raise ValueError("measurement key must be non-empty")
+        if not _is_key(self.key):
+            raise ValueError(f"bad measurement key {self.key!r}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -275,8 +275,8 @@ def _cmd_schedule(args) -> int:
     else:
         print("\n".join(lines))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(scheduler.export_jsonl(trace))
+        with open(args.out, "wb") as fh:
+            scheduler.write_jsonl(trace, fh)
         print(f"wrote {args.out}", file=sys.stderr)
     return 0
 

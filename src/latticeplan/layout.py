@@ -14,8 +14,12 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator
 
+import numpy as np
+
+from .bytefmt import byte_rows, chunks, squeeze
 from .exceptions import CapacityError
 from .factory import FACTORY_H, FACTORY_W, FactorySpec
 
@@ -52,8 +56,8 @@ DATA_STRIDE = 2  # columns per data patch, leaving surgery access space
 MAX_DATA_ROWS = 40  # per side of the MAJ strip
 LOOKUP_WIDTH, ITERATION_ROWS = 40, 3
 BLOCK_CYCLES = 5  # duration of each reference volume block
-# Largest grid a plan builds: validating a plan and exporting it as SVG
-# hold about 300 bytes per tile, so 2^21 tiles peak near 600 MB.
+# Largest grid a plan builds: exporting a plan as SVG holds its text
+# twice, about 150 bytes per tile, so 2^21 tiles peak near 330 MB.
 MAX_TILES = 1 << 21
 
 
@@ -485,23 +489,29 @@ def export_floorplan(plan: Floorplan, fmt: str) -> bytes:
         }
         return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
     if fmt == "svg":
-        out = []
         w, h = plan.width * _CELL, plan.height * _CELL
-        out.append(f'<svg xmlns="http://www.w3.org/2000/svg" '
-                   f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">')
-        for y in range(plan.height):
-            for x in range(plan.width):
-                color = ROLE_COLORS[plan.grid[y][x]]
-                out.append(f'<rect x="{x * _CELL}" y="{y * _CELL}" '
-                           f'width="{_CELL}" height="{_CELL}" '
-                           f'fill="{color}"/>')
-        for fx, fy in plan.factories:
-            out.append(f'<rect class="factory" x="{fx * _CELL}" '
-                       f'y="{fy * _CELL}" width="{FACTORY_W * _CELL}" '
-                       f'height="{FACTORY_H * _CELL}" fill="none" '
-                       f'stroke="#000000" stroke-width="2"/>')
-        out.append('</svg>')
-        return "\n".join(out).encode()
+        head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
+                f'height="{h}" viewBox="0 0 {w} {h}">\n')
+        index = {role: i for i, role in enumerate(ROLES)}
+        roles = np.fromiter(map(index.__getitem__,
+                                chain.from_iterable(plan.grid)),
+                            dtype=np.uint8, count=plan.width * plan.height)
+        colors = np.frombuffer("".join(ROLE_COLORS[r] for r in ROLES)
+                               .encode(), dtype=np.uint8).reshape(-1, 7)
+        ys, xs = np.indices((plan.height, plan.width)).reshape(2, -1) * _CELL
+        out = [head.encode()]
+        for part in chunks(len(roles)):
+            out.append(squeeze(byte_rows([
+                b'<rect x="', xs[part], b'" y="', ys[part],
+                f'" width="{_CELL}" height="{_CELL}" fill="'.encode(),
+                colors[roles[part]], b'"/>\n'])))
+        fx, fy = np.array(plan.factories, dtype=np.int64).reshape(-1, 2).T
+        out.append(squeeze(byte_rows([
+            b'<rect class="factory" x="', fx * _CELL, b'" y="', fy * _CELL,
+            f'" width="{FACTORY_W * _CELL}" height="{FACTORY_H * _CELL}" '
+            f'fill="none" stroke="#000000" stroke-width="2"/>\n'.encode()])))
+        out.append(b"</svg>")
+        return b"".join(out)
     raise ValueError(f"unknown export format {fmt!r}")
 
 

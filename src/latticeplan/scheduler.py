@@ -5,31 +5,38 @@ assumptions must convert to whole nanoseconds.
 
 A trace is columnar. Each `EventBlock` holds the events of one kind as
 int64 arrays: times, a tie-break and the payload columns. One
-`np.lexsort` over (time, kind, tie-break) orders the whole trace, and
-`export_jsonl` formats each block from one key-sorted template per kind.
-The lookup and the serial chain also have closed forms, so the lookup
-and adder summaries and the phase timeline need no events at all.
+`np.lexsort` over (time, kind, tie-break) orders the whole trace.
+`write_jsonl` streams it to a file in chunks of 8192 events: for
+each chunk it gathers every kind's columns at the chunk's rows and lays
+out their key-sorted lines as one byte matrix (`bytefmt`), so no text of
+the whole trace is ever held. The lookup and the serial chain also have
+closed forms, so the lookup and adder summaries and the phase timeline
+need no events at all.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
+import io
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
+from .bytefmt import byte_rows, chunks, squeeze
 from .exceptions import CapacityError
 from .factory import FactorySpec, PhysicalAssumptions
 
 EVENT_KINDS = ("state_ready", "consume", "reaction_decision",
                "cnot_window", "phase_boundary")
 
-# Largest trace the simulators build. Holding and exporting it takes about
-# 300 bytes per event: a 786433-entry lookup (3 * 2^20 events) written by
-# `schedule --out` peaks at 0.93 GB.
-MAX_TRACE_EVENTS = 3 << 20
+# Largest trace the simulators build; a 2^20-entry lookup has 4 * 2^20 - 4
+# events. Its columns and sort permutation take about 50 bytes per event
+# and the streamed export a few megabytes more: `schedule --lookup 1048576
+# --out` peaks at 236 MB. The largest adder trace under the cap costs more
+# in its Python DAG: `schedule --m 699052 --out` peaks at 643 MB.
+MAX_TRACE_EVENTS = 1 << 22
 
 
 class Event(NamedTuple):
@@ -51,17 +58,23 @@ class EventBlock:
     tie: np.ndarray
     columns: dict[str, np.ndarray]
 
-    def lines(self) -> list[str]:
-        """Each event as the line ``json.dumps(event, sort_keys=True)``
-        writes, from one template."""
+    def line_parts(self, rows: np.ndarray) -> list:
+        """The `byte_rows` parts of the events at ``rows``: each the line
+        ``json.dumps(event, sort_keys=True)`` writes, with its newline."""
         cols = {"t_ns": self.t_ns, **self.columns}
-        fields = {name: '"%s"' if col.dtype.kind == "U" else "%d"
-                  for name, col in cols.items()}
-        fields["kind"] = f'"{self.kind}"'
-        keys = sorted(fields)
-        template = "{" + ", ".join(f'"{k}": {fields[k]}' for k in keys) + "}"
-        values = [cols[k].tolist() for k in keys if k != "kind"]
-        return [template % row for row in zip(*values)]
+        parts = []
+        sep = b"{"
+        for key in sorted([*cols, "kind"]):
+            parts.append(sep + b'"' + key.encode() + b'": ')
+            sep = b", "
+            if key == "kind":
+                parts.append(b'"' + self.kind.encode() + b'"')
+            elif cols[key].dtype.kind == "U":
+                parts += [b'"', cols[key][rows], b'"']
+            else:
+                parts.append(cols[key][rows])
+        parts.append(b"}\n")
+        return parts
 
 
 class EventTable:
@@ -444,8 +457,32 @@ def phase_timeline(lookup: LookupSpec, adder_bits: int, spec: FactorySpec,
     )
 
 
+def write_jsonl(trace: ScheduleTrace, fh) -> None:
+    """Write the trace to the binary file ``fh``, one event per line with
+    its keys sorted, so identical traces serialize to identical bytes.
+    Events go out one `bytefmt.chunks` slice at a time, in trace order;
+    negative values are refused."""
+    blocks = trace.events.blocks
+    starts = np.cumsum([0] + [len(b.t_ns) for b in blocks])
+    order = trace.events.order
+    for part in chunks(len(order)):
+        rows = order[part]
+        block_of = np.searchsorted(starts, rows, side="right") - 1
+        lines = []
+        for i, block in enumerate(blocks):
+            mine = block_of == i
+            if mine.any():
+                lines.append((mine, byte_rows(
+                    block.line_parts(rows[mine] - starts[i]))))
+        chunk = np.zeros((len(rows), max(m.shape[1] for _, m in lines)),
+                         dtype=np.uint8)
+        for mine, m in lines:
+            chunk[mine, :m.shape[1]] = m
+        fh.write(squeeze(chunk))
+
+
 def export_jsonl(trace: ScheduleTrace) -> str:
-    """One event per line, keys sorted, so identical traces serialize to
-    identical bytes."""
-    lines = [line for block in trace.events.blocks for line in block.lines()]
-    return "\n".join([lines[i] for i in trace.events.order.tolist()]) + "\n"
+    """The text `write_jsonl` writes."""
+    buf = io.BytesIO()
+    write_jsonl(trace, buf)
+    return buf.getvalue().decode()

@@ -265,18 +265,18 @@ def test_schedule_lookup_over_the_event_cap(tmp_path, capsys):
 
 
 def test_schedule_adder_over_the_event_cap(tmp_path, capsys):
-    # 2 * 524290 - 3 Toffolis: the smallest adder whose 3 events per
+    # 2 * 699053 - 3 Toffolis: the smallest adder whose 3 events per
     # Toffoli pass the cap, refused before its DAG is built
     out_file = tmp_path / "trace.jsonl"
     tracemalloc.start()
     try:
-        code, _, err = run(capsys, "schedule", "--m", "524290",
+        code, _, err = run(capsys, "schedule", "--m", "699053",
                            "--out", str(out_file))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 1
-    assert err == (f"error: trace of {3 * 1048577} events exceeds the cap "
+    assert err == (f"error: trace of {3 * 1398103} events exceeds the cap "
                    f"of {scheduler.MAX_TRACE_EVENTS}\n")
     assert not out_file.exists()
     assert peak < 1 << 20

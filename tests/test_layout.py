@@ -295,6 +295,31 @@ def test_import_rejects_corrupt_roles(small_plan):
         L.import_floorplan(data)
 
 
+def _ref_svg(plan):
+    """The one-f-string-per-tile SVG writer the array one replaced."""
+    cell = 8
+    w, h = plan.width * cell, plan.height * cell
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" '
+           f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">']
+    for y in range(plan.height):
+        for x in range(plan.width):
+            color = L.ROLE_COLORS[plan.grid[y][x]]
+            out.append(f'<rect x="{x * cell}" y="{y * cell}" '
+                       f'width="{cell}" height="{cell}" fill="{color}"/>')
+    for fx, fy in plan.factories:
+        out.append(f'<rect class="factory" x="{fx * cell}" '
+                   f'y="{fy * cell}" width="{15 * cell}" '
+                   f'height="{8 * cell}" fill="none" '
+                   f'stroke="#000000" stroke-width="2"/>')
+    out.append('</svg>')
+    return "\n".join(out).encode()
+
+
+def test_svg_matches_reference(big_plan, small_plan, lookup_plan):
+    for plan in (big_plan, small_plan, lookup_plan):
+        assert L.export_floorplan(plan, "svg") == _ref_svg(plan)
+
+
 def test_svg_deterministic_with_expected_rects(big_plan):
     first = L.export_floorplan(big_plan, "svg")
     assert first == L.export_floorplan(big_plan, "svg")
@@ -329,6 +354,7 @@ def test_adder_plans_validate_and_round_trip(bits, n):
     L.validate_floorplan(plan)
     data = L.export_floorplan(plan, "json")
     assert L.export_floorplan(L.import_floorplan(data), "json") == data
+    assert L.export_floorplan(plan, "svg") == _ref_svg(plan)
     assert plan.meta["stride"] == 2
     assert plan.count("ccz_factory") == 120 * n
 
@@ -338,6 +364,7 @@ def test_adder_plans_validate_and_round_trip(bits, n):
 def test_lookup_plans_validate(rows):
     plan = L.plan_lookup_layout(rows, SPEC)
     L.validate_floorplan(plan)
+    assert L.export_floorplan(plan, "svg") == _ref_svg(plan)
     assert plan.width == 40
     assert plan.height == len(plan.meta["pattern"]) + 3
     assert plan.meta["pattern"].count("L") == rows

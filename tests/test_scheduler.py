@@ -10,10 +10,12 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latticeplan import bytefmt
 from latticeplan import scheduler as S
 from latticeplan.exceptions import CapacityError
 from latticeplan.factory import FactorySpec, PhysicalAssumptions
@@ -594,3 +596,90 @@ def test_lookup_pace_matches_simulation_summary():
         trace.summary["toffoli_count"])
     big = S.lookup_pace(S.LookupSpec(10 ** 9, 1), SPEC, BASE, 14)
     assert big.makespan_ns == 135000 + (10 ** 9 - 2) * 13500 + 10000
+
+
+# ------------------------------------------------------ streamed export
+
+# Integers at the digit-count edges, including the largest int64.
+EDGE_INTS = [0, 9, 10, 99, 100, 2 ** 63 - 1]
+
+
+@st.composite
+def event_tables(draw):
+    """Random EventTables: blocks of distinct kinds whose times come from
+    a few values, so events tie within and across kinds and across chunk
+    boundaries; payload columns of non-negative int64s (often at the
+    digit-count edges) or identifier strings, empty ones included."""
+    ints = st.one_of(st.sampled_from(EDGE_INTS), st.integers(0, 2 ** 63 - 1))
+    names = st.sampled_from(["a", "corridor", "node", "state", "z_9"])
+    words = st.text(alphabet="abxyz_019", max_size=6)
+    times = draw(st.lists(ints, min_size=1, max_size=4))
+    blocks = []
+    for kind in draw(st.lists(st.sampled_from(S.EVENT_KINDS), min_size=1,
+                              max_size=5, unique=True)):
+        n = draw(st.integers(0, 12))
+
+        def column(values, dtype):
+            return np.array(draw(st.lists(values, min_size=n, max_size=n)),
+                            dtype=dtype)
+        t_ns = column(st.sampled_from(times), np.int64)
+        tie = column(st.integers(0, 3), np.int64)
+        columns = {name: column(words, str) if draw(st.booleans())
+                   else column(ints, np.int64)
+                   for name in draw(st.lists(names, max_size=2,
+                                             unique=True))}
+        blocks.append(S.EventBlock(kind, t_ns, tie, columns))
+    return S.EventTable(blocks)
+
+
+def _ref_table_events(table):
+    """The table's events, one tuple each, sorted by (time, kind index,
+    tie-break) with concatenation order breaking full ties."""
+    rows = []
+    for b in table.blocks:
+        names = list(b.columns)
+        for i, (t, tie, *payload) in enumerate(zip(
+                b.t_ns.tolist(), b.tie.tolist(),
+                *(b.columns[n].tolist() for n in names))):
+            rows.append(((t, S.EVENT_KINDS.index(b.kind), tie, len(rows)),
+                         (t, b.kind, dict(zip(names, payload)))))
+    return [event for _, event in sorted(rows)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(event_tables(), st.integers(1, 7))
+def test_streamed_export_matches_reference(table, chunk):
+    trace = S.ScheduleTrace(table, 0, {})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bytefmt, "CHUNK_ROWS", chunk)
+        text = S.export_jsonl(trace)
+    assert text == _ref_export(_ref_table_events(table))
+
+
+def test_export_refuses_negative_values():
+    block = S.EventBlock("consume", np.array([5]), np.array([0]),
+                         {"node": np.array([-1])})
+    trace = S.ScheduleTrace(S.EventTable([block]), 5, {})
+    with pytest.raises(ValueError, match="negative value -1"):
+        S.export_jsonl(trace)
+
+
+def test_streamed_export_memory_is_bounded():
+    """A 65536-entry lookup (262140 events, 17.7 MB of JSONL) is written
+    one chunk at a time, in a few megabytes beyond the trace itself."""
+    trace = S.simulate_lookup(S.LookupSpec(65536, 1), SPEC, BASE, 14)
+    written = []
+
+    class Sink:
+        def write(self, data):
+            written.append(len(data))
+
+    tracemalloc.start()
+    try:
+        S.write_jsonl(trace, Sink())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(written) == 17701149
+    assert len(written) == -(-len(trace.events) // bytefmt.CHUNK_ROWS)
+    assert peak < 8 << 20

@@ -1,13 +1,17 @@
 """Text-format parsing, printing, and error reporting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_branches import adaptive_circuits
 
-from latticeplan.circuits import (Circuit, Gate, Measure, enumerate_branches,
-                                  format_circuit, format_condition,
-                                  parse_circuit, parse_condition, plus_state)
+from latticeplan.circuits import (CGate, Circuit, FrameUpdate, Gate, Measure,
+                                  enumerate_branches, format_circuit,
+                                  format_condition, parse_circuit,
+                                  parse_condition, plus_state)
 
 SAMPLE = """qubits 3
 init 0 ?
@@ -82,10 +86,58 @@ def test_condition_spacing_is_canonicalized():
     assert format_circuit(loose) == format_circuit(tight)
 
 
+@st.composite
+def keyed_circuits(draw):
+    """Random adaptive circuits with their measurement keys renamed to
+    drawn keys: runs of letters, digits and underscores, "0" and "1"
+    excepted."""
+    circuit = draw(adaptive_circuits())
+    old = circuit.measurement_keys
+    new = draw(st.lists(
+        st.from_regex(r"[A-Za-z0-9_]{1,4}", fullmatch=True).filter(
+            lambda k: k not in ("0", "1")),
+        min_size=len(old), max_size=len(old), unique=True))
+    name = dict(zip(old, new))
+
+    def rename(cond):
+        return tuple(tuple(name[k] for k in term) for term in cond)
+    ops = []
+    for op in circuit.operations:
+        if isinstance(op, Measure):
+            op = dataclasses.replace(op, key=name[op.key],
+                                     flip_basis_if=rename(op.flip_basis_if))
+        elif isinstance(op, (CGate, FrameUpdate)):
+            op = dataclasses.replace(op, condition=rename(op.condition))
+        ops.append(op)
+    return dataclasses.replace(circuit, operations=tuple(ops))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(adaptive_circuits())
+@given(keyed_circuits())
 def test_round_trip_property(circuit):
     assert parse_circuit(format_circuit(circuit)) == circuit
+
+
+@pytest.mark.parametrize("key", ["0", "1", "a&b", "a^b", "", "m 1", "m-1",
+                                 "\u00e9"])
+def test_bad_measurement_key_rejected(key):
+    # a key "1" used to print as "if 1" and read back as the constant
+    with pytest.raises(ValueError, match="bad measurement key"):
+        Measure(1, key)
+
+
+@pytest.mark.parametrize("key", ["0", "1", "a&b", "m-1", "\u00e9"])
+def test_bad_key_in_circuit_text_is_one_line(key):
+    with pytest.raises(ValueError, match="bad measurement key") as exc:
+        parse_circuit(f"qubits 2\nmeasure 1 {key} z\n")
+    assert str(exc.value).startswith("line 2: ")
+    assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("text", ["1&m0", "0 ^ m0", "m0&", "a&b&1", "m\u00e9"])
+def test_bad_condition_key_rejected(text):
+    with pytest.raises(ValueError, match="bad condition"):
+        parse_condition(text)
 
 
 def test_constant_term_round_trips():
