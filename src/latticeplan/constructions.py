@@ -105,7 +105,9 @@ def ring_resource_ops() -> tuple:
     return tuple(ops)
 
 
-def _autoccz_ops(include_frames: bool = True) -> tuple:
+def _autoccz_ops() -> tuple:
+    """The ring consumption without its Pauli frame updates: each caller
+    appends the frames its own basis change needs."""
     ops = list(ring_resource_ops())
     ops += [
         Gate("CX", (0, 3)),
@@ -119,19 +121,18 @@ def _autoccz_ops(include_frames: bool = True) -> tuple:
         flip = parse_condition(key)
         ops.append(Measure(pair[0], ukeys[0], "z", flip))
         ops.append(Measure(pair[1], ukeys[1], "z", flip))
-    if include_frames:
-        for wire, cond in _AUTOCCZ_Z_FRAMES.items():
-            ops.append(FrameUpdate(wire, "Z", cond))
     return tuple(ops)
 
 
 def build_autoccz() -> Construction:
     """CCZ on qubits 0, 1, 2 consumed from the ring resource using only
     measurements whose bases depend on earlier outcomes."""
+    ops = _autoccz_ops() + tuple(FrameUpdate(wire, "Z", cond)
+                                 for wire, cond in _AUTOCCZ_Z_FRAMES.items())
     inits = ("?", "?", "?") + ("+",) * 9
     return Construction(
         name="autoccz",
-        circuit=Circuit(12, _autoccz_ops(), inits),
+        circuit=Circuit(12, ops, inits),
         target=CCZ_MATRIX,
         input_qubits=(0, 1, 2),
         output_qubits=(0, 1, 2),
@@ -144,10 +145,7 @@ def build_toffoli_from_ccz() -> Construction:
 
     Z frames on the target commute through the trailing H as X frames.
     """
-    ops: list = [Gate("H", (2,))]
-    for op in _autoccz_ops(include_frames=False):
-        ops.append(op)
-    ops.append(Gate("H", (2,)))
+    ops = [Gate("H", (2,)), *_autoccz_ops(), Gate("H", (2,))]
     for wire, cond in _AUTOCCZ_Z_FRAMES.items():
         ops.append(FrameUpdate(wire, "X" if wire == 2 else "Z", cond))
     inits = ("?", "?", "?") + ("+",) * 9

@@ -53,27 +53,21 @@ class PhysicalAssumptions:
 class FactorySpec:
     """Two-level CCZ factory with level-1 distance d1 and level-2
     distance d2. The T-factory count, T states per CCZ and the 15 x 8
-    footprint are the module constants. ``injection_style`` "legacy"
-    drops the overlapped final injection layer, the baseline the
-    overlapped depth improves on."""
+    footprint are the module constants."""
 
     d1: int = 17
     d2: int = 27
-    injection_style: str = "overlapped"
 
     def __post_init__(self) -> None:
         for d in (self.d1, self.d2):
             if d < 3 or d % 2 == 0:
                 raise ValueError(f"code distance must be odd and >= 3: {d}")
-        if self.injection_style not in ("overlapped", "legacy"):
-            raise ValueError(f"bad injection style {self.injection_style!r}")
 
     @property
     def ccz_depth_cycles(self) -> Fraction:
-        # overlapping the final injection layer saves 0.5*d2 cycles
-        mult = Fraction(5) if self.injection_style == "overlapped" \
-            else Fraction(11, 2)
-        return mult * self.d2
+        # overlapping the final injection layer saves 0.5*d2 cycles on
+        # the 5.5*d2 of Gidney & Fowler (arXiv:1812.01238)
+        return Fraction(5) * self.d2
 
     @property
     def t1_depth_cycles(self) -> Fraction:

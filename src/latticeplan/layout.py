@@ -4,18 +4,20 @@ Grid cells are logical patches. Factories keep their 15x8 footprint, each
 with two 4x3 fixup boxes facing the central MAJ strip, and one-wide gap
 lanes run between factory columns so every data row can route to the
 strip. The geometry is fixed: the sizes below are constants, and a plan
-depends only on its register size and factory count.
+depends only on its register size and factory count. A plan's grid is
+one byte per tile, and the planners, validators and writers treat it as
+one numpy array, with no Python loop over tiles.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
-from collections import Counter
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -35,6 +37,8 @@ ROLES = (
     "gap",
     "unused",
 )
+# the byte that stands for each role in a grid
+CODE = {role: i for i, role in enumerate(ROLES)}
 
 ROLE_COLORS = {
     "ccz_factory": "#c9a227",
@@ -52,41 +56,45 @@ ROLE_COLORS = {
 MAJ_STRIP_H = 3
 FACTORY_PITCH = FACTORY_W + 1  # a factory and the gap lane to its right
 FIXUP_W, FIXUP_H = 4, 3
+FIXUP_OFFSETS = (2, 8)  # fixup box columns within their factory
 DATA_STRIDE = 2  # columns per data patch, leaving surgery access space
 MAX_DATA_ROWS = 40  # per side of the MAJ strip
 LOOKUP_WIDTH, ITERATION_ROWS = 40, 3
 BLOCK_CYCLES = 5  # duration of each reference volume block
-# Largest grid a plan builds: exporting a plan as SVG holds its text
-# twice, about 150 bytes per tile, so 2^21 tiles peak near 330 MB.
+# Largest grid a plan builds. At 2^21 tiles, `layout --out plan.svg`
+# takes about 1.5 s and peaks near 240 MB, most of it the SVG text.
 MAX_TILES = 1 << 21
 
 
 @dataclasses.dataclass(frozen=True)
 class Floorplan:
+    """A plan's tiles and its annotations. ``grid`` holds one byte per
+    tile, row by row from the top, each the index of the tile's role in
+    ROLES; ``roles`` is the same grid as a read-only height x width
+    array. The annotations list each factory's top-left tile, each
+    fixup box as (x, y, w, h) and each gap lane's column."""
+
     width: int
     height: int
     patch_distance: int
-    grid: tuple[tuple[str, ...], ...]
+    grid: bytes
     factories: tuple[tuple[int, int], ...]
     fixup_boxes: tuple[tuple[int, int, int, int], ...]
     lanes: tuple[int, ...]
     meta: dict
 
     def __post_init__(self) -> None:
-        if len(self.grid) != self.height:
-            raise ValueError("grid height mismatch")
-        for row in self.grid:
-            if len(row) != self.width:
-                raise ValueError("grid width mismatch")
-            for role in row:
-                if role not in ROLES:
-                    raise ValueError(f"unknown role {role!r}")
+        if not isinstance(self.grid, bytes) or self.width < 0 \
+                or len(self.grid) != self.width * self.height:
+            raise ValueError(f"grid shape mismatch: want {self.width} x "
+                             f"{self.height} tiles")
+        if self.roles.max(initial=0) >= len(ROLES):
+            raise ValueError(f"unknown role {self.roles.max()}")
 
-    def role_at(self, x: int, y: int) -> str:
-        return self.grid[y][x]
-
-    def count(self, role: str) -> int:
-        return sum(row.count(role) for row in self.grid)
+    @property
+    def roles(self) -> np.ndarray:
+        return np.frombuffer(self.grid, dtype=np.uint8).reshape(
+            self.height, self.width)
 
 
 def data_row_capacity(width: int, n_lanes: int) -> int:
@@ -95,40 +103,13 @@ def data_row_capacity(width: int, n_lanes: int) -> int:
     return math.ceil((width - n_lanes) / DATA_STRIDE)
 
 
-def _check_tiles(width: int, height: int) -> None:
-    """Refuse a grid over MAX_TILES before any of it is built."""
+def _blank(width: int, height: int) -> np.ndarray:
+    """An all-unused grid; one over MAX_TILES is refused before any of it
+    is allocated."""
     if width * height > MAX_TILES:
         raise CapacityError(f"{width} x {height} plan exceeds the cap of "
                             f"{MAX_TILES} tiles")
-
-
-def _paint(grid: list[list[str]], x: int, y: int, w: int, h: int,
-           role: str) -> None:
-    """Set the w x h rectangle with top-left tile (x, y) to ``role``."""
-    for row in grid[y:y + h]:
-        row[x:x + w] = [role] * w
-
-
-def _neighbours(plan: Floorplan, x: int, y: int
-                ) -> Iterator[tuple[int, int]]:
-    """The up-to-four edge neighbours of (x, y) inside the grid."""
-    for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-        if 0 <= nx < plan.width and 0 <= ny < plan.height:
-            yield nx, ny
-
-
-def _flood(plan: Floorplan, seeds: list[tuple[int, int]],
-           roles: set[str]) -> set[tuple[int, int]]:
-    """The seeds and every tile reachable from them through neighbours
-    whose role is in ``roles``."""
-    reached = set(seeds)
-    stack = list(seeds)
-    while stack:
-        for nx, ny in _neighbours(plan, *stack.pop()):
-            if plan.grid[ny][nx] in roles and (nx, ny) not in reached:
-                reached.add((nx, ny))
-                stack.append((nx, ny))
-    return reached
+    return np.full((height, width), CODE["unused"], dtype=np.uint8)
 
 
 def plan_adder_layout(bits: int, spec: FactorySpec,
@@ -137,20 +118,17 @@ def plan_adder_layout(bits: int, spec: FactorySpec,
     target and offset register rows alternate in the data regions above
     and below, DATA_STRIDE columns per patch and at most MAX_DATA_ROWS
     rows a side. Raises CapacityError when the rows or the grid do not
-    fit."""
+    fit, before anything the size of the grid is built."""
     if bits < 2:
         raise ValueError("adder needs at least 2 bits")
     if n_factories < 2:
         raise ValueError("need at least 2 factories (one per side)")
-    front = math.ceil(n_factories / 2)
+    front = (n_factories + 1) // 2
     back = n_factories - front
-    if front >= 2:
-        width = FACTORY_PITCH * front - 1
-        lanes = tuple(FACTORY_PITCH * i + FACTORY_W
-                      for i in range(front - 1))
-    else:
-        width = FACTORY_PITCH
-        lanes = (FACTORY_W,)
+    # a gap lane right of every front factory but the last; a single
+    # front factory keeps one on its right edge
+    width = max(FACTORY_PITCH * front - 1, FACTORY_PITCH)
+    lanes = range(FACTORY_W, width, FACTORY_PITCH)
 
     cap = data_row_capacity(width, len(lanes))
     target_rows = math.ceil(bits / cap)
@@ -163,55 +141,49 @@ def plan_adder_layout(bits: int, spec: FactorySpec,
             f"{bits}-bit adder needs {total_rows} data rows but only "
             f"{2 * MAX_DATA_ROWS} fit; need width >= {need_w} "
             f"(have {width})")
-    sequence = ["data_row_target" if i % 2 == 0 else "data_row_offset"
-                for i in range(total_rows)]
-    top_rows = sequence[:math.ceil(total_rows / 2)]
-    bottom_rows = sequence[math.ceil(total_rows / 2):]
 
-    front_band = len(top_rows)
+    front_band = math.ceil(total_rows / 2)  # data rows above the strip
     front_fixups = front_band + FACTORY_H
     maj_top = front_fixups + FIXUP_H
     back_fixups = maj_top + MAJ_STRIP_H
     back_band = back_fixups + FIXUP_H
-    height = back_band + FACTORY_H + len(bottom_rows)
-    _check_tiles(width, height)
-    grid = [["unused"] * width for _ in range(height)]
-    for y, role in enumerate(top_rows):
-        _paint(grid, 0, y, width, 1, role)
-    _paint(grid, 0, front_fixups, width, FIXUP_H, "gap")
-    _paint(grid, 0, maj_top, width, MAJ_STRIP_H, "maj_area")
-    _paint(grid, 0, back_fixups, width, FIXUP_H, "gap")
-    for y, role in enumerate(bottom_rows, start=back_band + FACTORY_H):
-        _paint(grid, 0, y, width, 1, role)
+    bottom = back_band + FACTORY_H
+    height = bottom + total_rows - front_band
+    g = _blank(width, height)
+    # target and offset rows alternate, the top rows first
+    data = np.where(np.arange(total_rows) % 2, CODE["data_row_offset"],
+                    CODE["data_row_target"])
+    g[:front_band] = data[:front_band, None]
+    g[bottom:] = data[front_band:, None]
+    g[front_fixups:maj_top] = CODE["gap"]
+    g[maj_top:back_fixups] = CODE["maj_area"]
+    g[back_fixups:back_band] = CODE["gap"]
 
     factories: list[tuple[int, int]] = []
     fixup_boxes: list[tuple[int, int, int, int]] = []
     for count, band_y, fix_y in ((front, front_band, front_fixups),
                                  (back, back_band, back_fixups)):
-        for i in range(count):
-            fx = FACTORY_PITCH * i
+        for fx in range(0, FACTORY_PITCH * count, FACTORY_PITCH):
             factories.append((fx, band_y))
-            _paint(grid, fx, band_y, FACTORY_W, FACTORY_H, "ccz_factory")
+            g[band_y:band_y + FACTORY_H, fx:fx + FACTORY_W] = \
+                CODE["ccz_factory"]
             # fixup boxes sit on the factory's MAJ-facing side
-            for off in (2, 8):
+            for off in FIXUP_OFFSETS:
                 fixup_boxes.append((fx + off, fix_y, FIXUP_W, FIXUP_H))
-                _paint(grid, fx + off, fix_y, FIXUP_W, FIXUP_H,
-                       "fixup_box")
-
+                g[fix_y:fix_y + FIXUP_H, fx + off:fx + off + FIXUP_W] = \
+                    CODE["fixup_box"]
     # lanes cut every band but the MAJ strip
-    below = maj_top + MAJ_STRIP_H
-    for x in lanes:
-        _paint(grid, x, 0, 1, maj_top, "gap")
-        _paint(grid, x, below, 1, height - below, "gap")
+    g[:maj_top, FACTORY_W::FACTORY_PITCH] = CODE["gap"]
+    g[back_fixups:, FACTORY_W::FACTORY_PITCH] = CODE["gap"]
 
     return Floorplan(
         width=width,
         height=height,
         patch_distance=spec.d2,
-        grid=tuple(tuple(row) for row in grid),
+        grid=g.tobytes(),
         factories=tuple(factories),
         fixup_boxes=tuple(fixup_boxes),
-        lanes=lanes,
+        lanes=tuple(lanes),
         meta={
             "kind": "adder",
             "bits": bits,
@@ -234,23 +206,20 @@ def plan_lookup_layout(register_rows: int, spec: FactorySpec) -> Floorplan:
         raise ValueError("need at least one register row")
     pairs, odd = divmod(register_rows, 2)
     stack = 4 if register_rows == 1 else 1 + 6 * pairs + 4 * odd
-    width, height = LOOKUP_WIDTH, stack + ITERATION_ROWS
-    _check_tiles(width, height)
+    g = _blank(LOOKUP_WIDTH, stack + ITERATION_ROWS)
     pattern = "R_L_" if register_rows == 1 \
         else "R" + "_L_L_R" * pairs + "_L_R" * odd
-    role_of = {"R": "data_row_idle", "L": "data_row_target",
-               "_": "access_row"}
-    grid = [["unused"] * width for _ in range(height)]
-    for y, sym in enumerate(pattern):
-        _paint(grid, 1, y, width - 2, 1, role_of[sym])
-    _paint(grid, 1, stack, width - 2, ITERATION_ROWS, "maj_area")
-    _paint(grid, 0, 0, 1, height, "access_corridor")
-    _paint(grid, width - 1, 0, 1, height, "access_corridor")
+    codes = pattern.encode().translate(bytes.maketrans(b"RL_", bytes(
+        CODE[r] for r in ("data_row_idle", "data_row_target",
+                          "access_row"))))
+    g[:stack, 1:-1] = np.frombuffer(codes, dtype=np.uint8)[:, None]
+    g[stack:, 1:-1] = CODE["maj_area"]
+    g[:, [0, -1]] = CODE["access_corridor"]
     return Floorplan(
-        width=width,
-        height=height,
+        width=LOOKUP_WIDTH,
+        height=len(g),
         patch_distance=spec.d2,
-        grid=tuple(tuple(row) for row in grid),
+        grid=g.tobytes(),
         factories=(),
         fixup_boxes=(),
         lanes=(),
@@ -263,157 +232,186 @@ def plan_lookup_layout(register_rows: int, spec: FactorySpec) -> Floorplan:
     )
 
 
-def _rectangles(plan: Floorplan, role: str) -> list[tuple[int, int, int, int]]:
-    """Connected components of a role, each required to fill its bounding
-    box; returns (x, y, w, h) sorted."""
-    seen: set[tuple[int, int]] = set()
-    rects = []
-    for y in range(plan.height):
-        for x in range(plan.width):
-            if plan.grid[y][x] != role or (x, y) in seen:
-                continue
-            tiles = _flood(plan, [(x, y)], {role})
-            seen |= tiles
-            xs = [t[0] for t in tiles]
-            ys = [t[1] for t in tiles]
-            w = max(xs) - min(xs) + 1
-            h = max(ys) - min(ys) + 1
-            if len(tiles) != w * h:
-                raise ValueError(f"{role} component at "
-                                 f"({min(xs)}, {min(ys)}) is not a "
-                                 f"filled rectangle")
-            rects.append((min(xs), min(ys), w, h))
-    return sorted(rects)
+def _grow(mask: np.ndarray) -> np.ndarray:
+    """The mask and every tile edge-adjacent to it."""
+    out = mask.copy()
+    out[1:] |= mask[:-1]
+    out[:-1] |= mask[1:]
+    out[:, 1:] |= mask[:, :-1]
+    out[:, :-1] |= mask[:, 1:]
+    return out
+
+
+def _cover(plan: Floorplan, boxes: Iterable[tuple[int, ...]]
+           ) -> np.ndarray:
+    """For each tile, how many of the (x, y, w, h) boxes cover it, and
+    the sum of their 1-based indices, which names the box wherever the
+    count is 1. A box with no tiles or one that leaves the grid is
+    refused. Returns both as one 2 x height x width array. Each box adds
+    +1/-1 at its four corners, and two running sums spread that over its
+    tiles."""
+    b = np.array(list(boxes), dtype=np.int64).reshape(-1, 4)
+    x, y, w, h = b.T
+    bad = (w < 1) | (h < 1) | (x < 0) | (y < 0) \
+        | (x + w > plan.width) | (y + h > plan.height)
+    if bad.any():
+        raise ValueError(f"box {tuple(b[bad.argmax()].tolist())} leaves "
+                         f"the grid")
+    # index sums may wrap where boxes overlap, not where the count is 1
+    corners = np.zeros((2, plan.height + 1, plan.width + 1), dtype=np.int32)
+    for cy, cx, sign in ((y, x, 1), (y, x + w, -1), (y + h, x, -1),
+                         (y + h, x + w, 1)):
+        np.add.at(corners, (0, cy, cx), sign)
+        np.add.at(corners, (1, cy, cx), sign * np.arange(1, len(b) + 1))
+    np.cumsum(corners, axis=1, out=corners)
+    np.cumsum(corners, axis=2, out=corners)
+    return corners[:, :-1, :-1]
+
+
+def _match_boxes(plan: Floorplan, role: str, boxes, what: str
+                 ) -> np.ndarray:
+    """Require the role's tiles to be exactly the annotated boxes: no
+    tile covered twice, the role where a box covers a tile and nowhere
+    else, and no box touching another box's tile. Together these say the
+    role's connected components are the boxes. Returns the tile labels of
+    `_cover`."""
+    count, label = _cover(plan, boxes)
+    if (count > 1).any() \
+            or not np.array_equal(count == 1, plan.roles == CODE[role]) \
+            or any(((a != b) & (a > 0) & (b > 0)).any()
+                   for a, b in ((label[1:], label[:-1]),
+                                (label[:, 1:], label[:, :-1]))):
+        raise ValueError(f"{what} disagree with annotations")
+    return label
+
+
+def _factory_boxes(plan: Floorplan) -> list[tuple[int, int, int, int]]:
+    return [(x, y, FACTORY_W, FACTORY_H) for x, y in plan.factories]
 
 
 def validate_factories(plan: Floorplan) -> None:
     """Every factory is a filled rectangle matching its 15x8 annotation
     (which fixes its size and the total factory area), and each factory
     touches a gap tile."""
-    rects = _rectangles(plan, "ccz_factory")
-    expected = sorted((x, y, FACTORY_W, FACTORY_H)
-                      for x, y in plan.factories)
-    if rects != expected:
-        raise ValueError("factory rectangles disagree with annotations")
-    for x, y, w, h in rects:
-        if not _touches(plan, x, y, w, h, ("gap",)):
-            raise ValueError(f"factory at ({x}, {y}) has no adjacent gap")
-
-
-def _touches(plan: Floorplan, x: int, y: int, w: int, h: int,
-             roles: tuple[str, ...]) -> bool:
-    for xx in range(x, x + w):
-        for yy in (y - 1, y + h):
-            if 0 <= yy < plan.height and plan.grid[yy][xx] in roles:
-                return True
-    for yy in range(y, y + h):
-        for xx in (x - 1, x + w):
-            if 0 <= xx < plan.width and plan.grid[yy][xx] in roles:
-                return True
-    return False
+    label = _match_boxes(plan, "ccz_factory", _factory_boxes(plan),
+                         "factory rectangles")
+    near_gap = _grow(plan.roles == CODE["gap"])
+    lonely = np.bincount(label[near_gap],
+                         minlength=len(plan.factories) + 1)[1:] == 0
+    if lonely.any():
+        x, y = plan.factories[lonely.argmax()]
+        raise ValueError(f"factory at ({x}, {y}) has no adjacent gap")
 
 
 def validate_fixups(plan: Floorplan) -> None:
     """Two fixup boxes per factory, matching the annotated rectangles,
     each horizontally inside its factory's span."""
-    rects = _rectangles(plan, "fixup_box")
-    expected = sorted(plan.fixup_boxes)
-    if rects != expected:
-        raise ValueError("fixup boxes disagree with annotations")
-    if len(rects) != 2 * len(plan.factories):
+    _match_boxes(plan, "fixup_box", plan.fixup_boxes, "fixup boxes")
+    if len(plan.fixup_boxes) != 2 * len(plan.factories):
         raise ValueError(f"expected {2 * len(plan.factories)} fixup "
-                         f"boxes, found {len(rects)}")
-    factories = Counter(plan.factories)
-    for bx, by, bw, bh in rects:
-        # an owner sits right above or below the box and spans it
-        owners = sum(factories[fx, fy]
-                     for fx in range(bx + bw - FACTORY_W, bx + 1)
-                     for fy in (by + bh, by - FACTORY_H))
-        if owners != 1:
-            raise ValueError(f"fixup box at ({bx}, {by}) is not attached "
-                             f"to exactly one factory")
+                         f"boxes, found {len(plan.fixup_boxes)}")
+    # an owner sits right above or below the box and spans it: its top
+    # left tile is in row by + bh or by - FACTORY_H, at x from lo to bx.
+    # numpy sorts complex numbers by real part, then imaginary, so with
+    # keys y + ix the factories of one row and x range are one run.
+    bx, by, bw, bh = np.array(plan.fixup_boxes).reshape(-1, 4).T
+    lo = bx + bw - FACTORY_W
+    fx, fy = np.array(plan.factories).reshape(-1, 2).T
+    keys = np.sort(fy + 1j * fx)
+    owners = sum(np.searchsorted(keys, row + 1j * bx, "right")
+                 - np.searchsorted(keys, row + 1j * lo, "left")
+                 for row in (by + bh, by - FACTORY_H))
+    stray = owners != 1
+    if stray.any():
+        i = stray.argmax()
+        raise ValueError(f"fixup box at ({bx[i]}, {by[i]}) is not attached "
+                         f"to exactly one factory")
 
 
 def validate_gaps(plan: Floorplan) -> None:
     """At least one full gap column between horizontally adjacent
     factories in the same band."""
-    by_band: dict[int, list[int]] = {}
-    for fx, fy in plan.factories:
-        by_band.setdefault(fy, []).append(fx)
-    for fy, xs in by_band.items():
-        xs.sort()
-        for left, right in zip(xs, xs[1:]):
-            cols = range(left + FACTORY_W, right)
-            ok = any(
-                all(plan.grid[yy][cx] == "gap"
-                    for yy in range(fy, fy + FACTORY_H))
-                for cx in cols)
-            if not ok:
-                raise ValueError(f"no gap column between factories at "
-                                 f"x={left} and x={right}")
+    f = np.array(plan.factories, dtype=np.int64).reshape(-1, 2)
+    for fy in np.unique(f[:, 1]):
+        xs = np.sort(f[f[:, 1] == fy, 0])
+        band = plan.roles[max(fy, 0):fy + FACTORY_H]
+        # full gap columns left of each x, 0..width
+        seen = np.concatenate(([0], np.cumsum((band == CODE["gap"])
+                                              .all(axis=0))))
+        left = np.clip(xs[:-1] + FACTORY_W, 0, plan.width)
+        shut = seen[np.clip(xs[1:], left, plan.width)] == seen[left]
+        if shut.any():
+            i = shut.argmax()
+            raise ValueError(f"no gap column between factories at "
+                             f"x={xs[i]} and x={xs[i + 1]}")
 
 
 def validate_overlap(plan: Floorplan) -> None:
-    """Annotated factory and fixup rectangles stay inside the grid and
-    never overlap each other: no tile is covered twice."""
-    boxes = [(x, y, FACTORY_W, FACTORY_H) for x, y in plan.factories]
-    boxes += list(plan.fixup_boxes)
-    for x, y, w, h in boxes:
-        if x < 0 or y < 0 or x + w > plan.width or y + h > plan.height:
-            raise ValueError(f"box ({x}, {y}, {w}, {h}) leaves the grid")
-    covered: set[tuple[int, int]] = set()
-    for x, y, w, h in boxes:
-        tiles = {(xx, yy) for xx in range(x, x + w)
-                 for yy in range(y, y + h)}
-        if not covered.isdisjoint(tiles):
-            raise ValueError("overlapping boxes")
-        covered |= tiles
+    """Annotated factory and fixup rectangles each hold a tile, stay
+    inside the grid and never overlap each other: no tile is covered
+    twice."""
+    boxes = _factory_boxes(plan) + list(plan.fixup_boxes)
+    if (_cover(plan, boxes)[0] > 1).any():
+        raise ValueError("overlapping boxes")
 
 
 def validate_reachability(plan: Floorplan) -> None:
-    """Flood fill from the MAJ strip across gap tiles: every data row
-    must border a reached tile."""
-    seeds = [(x, y) for y in range(plan.height) for x in range(plan.width)
-             if plan.grid[y][x] == "maj_area"]
-    if not seeds:
+    """Flood from the MAJ strip across gap tiles: every data row must
+    border a reached tile. Each round of the flood reaches one tile
+    further, so it takes as many rounds as the longest route from the
+    strip; in a planned adder that is a lane out to the farthest data
+    row, under 60 rows."""
+    roles = plan.roles
+    reached = roles == CODE["maj_area"]
+    if not reached.any():
         raise ValueError("no MAJ strip to route to")
-    reached = _flood(plan, seeds, {"gap", "maj_area"})
-    data_roles = {"data_row_target", "data_row_offset"}
-    for y in range(plan.height):
-        row = [x for x in range(plan.width) if plan.grid[y][x] in data_roles]
-        if row and not any(tile in reached for x in row
-                           for tile in _neighbours(plan, x, y)):
-            raise ValueError(f"data row {y} cannot reach the MAJ strip")
+    passable = reached | (roles == CODE["gap"])
+    while True:
+        grown = _grow(reached) & passable
+        if np.array_equal(grown, reached):
+            break
+        reached = grown
+    data = (roles == CODE["data_row_target"]) \
+        | (roles == CODE["data_row_offset"])
+    stuck = data.any(axis=1) & ~(data & _grow(reached)).any(axis=1)
+    if stuck.any():
+        raise ValueError(f"data row {stuck.argmax()} cannot reach the MAJ "
+                         f"strip")
 
 
 def validate_lookup_pattern(plan: Floorplan) -> None:
     """Corridors span both full edges, every target row borders an
     access row, paired target rows share the inner access row, and an
     iteration region exists."""
-    for yy in range(plan.height):
-        if plan.grid[yy][0] != "access_corridor" \
-                or plan.grid[yy][plan.width - 1] != "access_corridor":
-            raise ValueError(f"row {yy} lacks corridor tiles at its ends")
-    row_role = []
-    for yy in range(plan.height):
-        inner = set(plan.grid[yy][1:plan.width - 1])
-        if len(inner) != 1:
-            raise ValueError(f"row {yy} mixes roles")
-        row_role.append(inner.pop())
-    if "maj_area" not in row_role:
+    roles = plan.roles
+    corridor = roles == CODE["access_corridor"]
+    broken = ~(corridor[:, :1].all(axis=1) & corridor[:, -1:].all(axis=1))
+    if broken.any():
+        raise ValueError(f"row {broken.argmax()} lacks corridor tiles at "
+                         f"its ends")
+    inner = roles[:, 1:-1]
+    # a row with no inner tiles mixes roles too
+    mixed = (inner != inner[:, :1]).any(axis=1) | (inner.shape[1] == 0)
+    if mixed.any():
+        raise ValueError(f"row {mixed.argmax()} mixes roles")
+    row_role = inner[:, :1].ravel()
+    if not (row_role == CODE["maj_area"]).any():
         raise ValueError("no iteration region")
-    l_rows = [i for i, r in enumerate(row_role) if r == "data_row_target"]
-    if not l_rows:
+    l_rows = np.flatnonzero(row_role == CODE["data_row_target"])
+    if not len(l_rows):
         raise ValueError("no target rows")
-    for i in l_rows:
-        neighbors = [row_role[j] for j in (i - 1, i + 1)
-                     if 0 <= j < len(row_role)]
-        if "access_row" not in neighbors:
-            raise ValueError(f"target row {i} has no adjacent access row")
-    for a, b in zip(l_rows, l_rows[1:]):
-        if b - a == 2 and row_role[a + 1] != "access_row":
-            raise ValueError(f"rows {a} and {b} do not share an access "
-                             f"row")
+    # access[i + 1] says row i is an access row; the ends pad with False
+    access = np.pad(row_role == CODE["access_row"], 1)
+    alone = ~(access[l_rows] | access[l_rows + 2])
+    if alone.any():
+        raise ValueError(f"target row {l_rows[alone.argmax()]} has no "
+                         f"adjacent access row")
+    a, b = l_rows[:-1], l_rows[1:]
+    unshared = (b - a == 2) & ~access[a + 2]
+    if unshared.any():
+        i = unshared.argmax()
+        raise ValueError(f"rows {a[i]} and {b[i]} do not share an access "
+                         f"row")
 
 
 def validate_floorplan(plan: Floorplan) -> None:
@@ -481,7 +479,8 @@ def export_floorplan(plan: Floorplan, fmt: str) -> bytes:
             "width": plan.width,
             "height": plan.height,
             "patch_distance": plan.patch_distance,
-            "grid": [list(row) for row in plan.grid],
+            "grid": [list(map(ROLES.__getitem__, row))
+                     for row in plan.roles.tolist()],
             "factories": [list(f) for f in plan.factories],
             "fixup_boxes": [list(b) for b in plan.fixup_boxes],
             "lanes": list(plan.lanes),
@@ -492,26 +491,25 @@ def export_floorplan(plan: Floorplan, fmt: str) -> bytes:
         w, h = plan.width * _CELL, plan.height * _CELL
         head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
                 f'height="{h}" viewBox="0 0 {w} {h}">\n')
-        index = {role: i for i, role in enumerate(ROLES)}
-        roles = np.fromiter(map(index.__getitem__,
-                                chain.from_iterable(plan.grid)),
-                            dtype=np.uint8, count=plan.width * plan.height)
+        roles = plan.roles.ravel()
         colors = np.frombuffer("".join(ROLE_COLORS[r] for r in ROLES)
                                .encode(), dtype=np.uint8).reshape(-1, 7)
         ys, xs = np.indices((plan.height, plan.width)).reshape(2, -1) * _CELL
-        out = [head.encode()]
+        # one growing buffer, so the text is never held twice
+        out = io.BytesIO()
+        out.write(head.encode())
         for part in chunks(len(roles)):
-            out.append(squeeze(byte_rows([
+            out.write(squeeze(byte_rows([
                 b'<rect x="', xs[part], b'" y="', ys[part],
                 f'" width="{_CELL}" height="{_CELL}" fill="'.encode(),
                 colors[roles[part]], b'"/>\n'])))
         fx, fy = np.array(plan.factories, dtype=np.int64).reshape(-1, 2).T
-        out.append(squeeze(byte_rows([
+        out.write(squeeze(byte_rows([
             b'<rect class="factory" x="', fx * _CELL, b'" y="', fy * _CELL,
             f'" width="{FACTORY_W * _CELL}" height="{FACTORY_H * _CELL}" '
             f'fill="none" stroke="#000000" stroke-width="2"/>\n'.encode()])))
-        out.append(b"</svg>")
-        return b"".join(out)
+        out.write(b"</svg>")
+        return out.getvalue()
     raise ValueError(f"unknown export format {fmt!r}")
 
 
@@ -519,11 +517,20 @@ def import_floorplan(data: bytes | str) -> Floorplan:
     if isinstance(data, bytes):
         data = data.decode()
     doc = json.loads(data)
+    rows = doc["grid"]
+    if len(rows) != doc["height"] \
+            or any(len(row) != doc["width"] for row in rows):
+        raise ValueError(f"grid shape mismatch: want {doc['width']} x "
+                         f"{doc['height']} tiles")
+    try:
+        grid = bytes(map(CODE.__getitem__, chain.from_iterable(rows)))
+    except KeyError as exc:
+        raise ValueError(f"unknown role {exc.args[0]!r}") from None
     return Floorplan(
         width=doc["width"],
         height=doc["height"],
         patch_distance=doc["patch_distance"],
-        grid=tuple(tuple(row) for row in doc["grid"]),
+        grid=grid,
         factories=tuple((x, y) for x, y in doc["factories"]),
         fixup_boxes=tuple(tuple(b) for b in doc["fixup_boxes"]),
         lanes=tuple(doc["lanes"]),

@@ -351,11 +351,11 @@ def _attach_ccz_gadgets(g: ZxGraph, wires: list[int]) -> None:
             g.add_edge(hub, w)
 
 
-def zx_from_circuit(circuit: Circuit, outcomes: dict[str, int],
-                    include_frames: bool = True) -> ZxGraph:
+def zx_from_circuit(circuit: Circuit, outcomes: dict[str, int]) -> ZxGraph:
     """Translate an adaptive circuit, with all measurement outcomes fixed,
-    into a ZX diagram. With frames included the diagram denotes the
-    construction's target exactly (mod scalar); without them, mod Pauli.
+    into a ZX diagram. With its frame updates the diagram denotes the
+    construction's target exactly (mod scalar); a circuit stripped of them
+    denotes it mod Pauli.
     """
     g = ZxGraph()
     end: dict[int, int] = {}
@@ -423,7 +423,7 @@ def zx_from_circuit(circuit: Circuit, outcomes: dict[str, int],
             extend(op.qubit, "x" if basis == "z" else "z", 4 * m)
             del end[op.qubit]
         else:
-            if include_frames and evaluate_condition(op.condition, outcomes):
+            if evaluate_condition(op.condition, outcomes):
                 extend(op.qubit, "x" if op.pauli == "X" else "z", 4)
 
     for q in sorted(end):

@@ -365,6 +365,21 @@ def test_layout_adder_over_the_tile_cap(capsys):
                    f"{layout.MAX_TILES} tiles\n")
 
 
+def test_layout_huge_factory_count_refused_before_lanes(capsys):
+    # refused before the half-billion-entry lane list is built
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "layout", "--m", "2", "--factories",
+                           "1000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert err == (f"error: 7999999999 x 27 plan exceeds the cap of "
+                   f"{layout.MAX_TILES} tiles\n")
+    assert peak < 1 << 20
+
+
 # --------------------------------------------------------- zx fixtures
 
 

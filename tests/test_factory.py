@@ -114,11 +114,12 @@ def test_depth_cycles():
     spec = F.FactorySpec()
     assert spec.ccz_depth_cycles == 135
     assert spec.t1_depth_cycles == Fraction(391, 4)
-    legacy = F.FactorySpec(injection_style="legacy")
-    assert legacy.ccz_depth_cycles == Fraction(297, 2)
+    # the 5.5 * d2 baseline of arXiv:1812.01238, without the overlapped
+    # final injection layer
+    baseline = Fraction(11, 2) * spec.d2
+    assert baseline == Fraction(297, 2)
     # the overlapped injection saves exactly half a d2 of depth
-    assert legacy.ccz_depth_cycles - spec.ccz_depth_cycles == \
-        Fraction(27, 2)
+    assert baseline - spec.ccz_depth_cycles == Fraction(27, 2)
 
 
 def test_qubit_totals():
@@ -154,7 +155,7 @@ def test_logical_error_rate_spot_value():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"d1": 4}, {"d2": 1}, {"d1": -3}, {"injection_style": "eager"},
+    {"d1": 4}, {"d2": 1}, {"d1": -3},
 ])
 def test_factory_spec_validation(kwargs):
     with pytest.raises(ValueError):

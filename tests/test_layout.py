@@ -1,8 +1,11 @@
 """Floorplan geometry, validators, volumes, and serialization."""
 
 import dataclasses
+import json
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,12 +17,16 @@ from latticeplan.factory import FactorySpec
 SPEC = FactorySpec()
 
 
+def _count(plan, role):
+    return np.count_nonzero(plan.roles == L.CODE[role])
+
+
 def _mutate(plan, changes):
     """Grid surgery: {(x, y): role} applied to a copy."""
-    grid = [list(row) for row in plan.grid]
+    grid = bytearray(plan.grid)
     for (x, y), role in changes.items():
-        grid[y][x] = role
-    return dataclasses.replace(plan, grid=tuple(tuple(r) for r in grid))
+        grid[y * plan.width + x] = L.CODE[role]
+    return dataclasses.replace(plan, grid=bytes(grid))
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +53,7 @@ def test_big_plan_dimensions(big_plan):
     assert big_plan.lanes == (15, 31, 47, 63, 79, 95)
     assert len(big_plan.factories) == 14
     assert len(big_plan.fixup_boxes) == 28
-    assert big_plan.count("ccz_factory") == 14 * 120
+    assert _count(big_plan, "ccz_factory") == 14 * 120
     assert big_plan.patch_distance == 27
 
 
@@ -178,6 +185,16 @@ def test_mixed_lookup_row_is_caught(lookup_plan):
         L.validate_lookup_pattern(bad)
 
 
+def test_row_without_inner_tiles_mixes_roles():
+    # two corridor columns and nothing between them
+    plan = L.Floorplan(width=2, height=1, patch_distance=27,
+                       grid=bytes([L.CODE["access_corridor"]] * 2),
+                       factories=(), fixup_boxes=(), lanes=(),
+                       meta={"kind": "lookup"})
+    with pytest.raises(ValueError, match="row 0 mixes roles"):
+        L.validate_lookup_pattern(plan)
+
+
 def test_unshared_access_row_is_caught():
     # two target rows two apart must sandwich an access row, not an idle
     # one
@@ -185,13 +202,12 @@ def test_unshared_access_row_is_caught():
                  "data_row_idle", "data_row_target", "access_row",
                  "data_row_idle", "maj_area"]
     width = 8
-    grid = []
-    for role in role_rows:
-        row = ["access_corridor"] + [role] * (width - 2) + \
-            ["access_corridor"]
-        grid.append(tuple(row))
+    grid = b"".join(bytes([L.CODE["access_corridor"]]
+                          + [L.CODE[role]] * (width - 2)
+                          + [L.CODE["access_corridor"]])
+                    for role in role_rows)
     plan = L.Floorplan(width=width, height=len(role_rows),
-                       patch_distance=27, grid=tuple(grid), factories=(),
+                       patch_distance=27, grid=grid, factories=(),
                        fixup_boxes=(), lanes=(),
                        meta={"kind": "lookup"})
     with pytest.raises(ValueError, match="share an access row"):
@@ -201,15 +217,15 @@ def test_unshared_access_row_is_caught():
 def test_floorplan_rejects_unknown_role():
     with pytest.raises(ValueError, match="unknown role"):
         L.Floorplan(width=1, height=1, patch_distance=27,
-                    grid=(("lava",),), factories=(), fixup_boxes=(),
-                    lanes=(), meta={})
+                    grid=bytes([len(L.ROLES)]), factories=(),
+                    fixup_boxes=(), lanes=(), meta={})
 
 
 def test_floorplan_rejects_ragged_grid():
-    with pytest.raises(ValueError, match="width mismatch"):
+    with pytest.raises(ValueError, match="shape mismatch"):
         L.Floorplan(width=2, height=1, patch_distance=27,
-                    grid=(("gap",),), factories=(), fixup_boxes=(),
-                    lanes=(), meta={})
+                    grid=bytes([L.CODE["gap"]]), factories=(),
+                    fixup_boxes=(), lanes=(), meta={})
 
 
 # ------------------------------------------------------------- lookup
@@ -229,15 +245,12 @@ def test_lookup_patterns(rows, pattern):
 
 
 def test_lookup_corridors_full_height(lookup_plan):
-    assert lookup_plan.count("access_corridor") == 2 * lookup_plan.height
-    for y in range(lookup_plan.height):
-        assert lookup_plan.role_at(0, y) == "access_corridor"
-        assert lookup_plan.role_at(lookup_plan.width - 1, y) == \
-            "access_corridor"
+    assert _count(lookup_plan, "access_corridor") == 2 * lookup_plan.height
+    assert (lookup_plan.roles[:, [0, -1]] == L.CODE["access_corridor"]).all()
 
 
 def test_lookup_iteration_region(lookup_plan):
-    assert lookup_plan.count("maj_area") == \
+    assert _count(lookup_plan, "maj_area") == \
         3 * (lookup_plan.width - 2)
 
 
@@ -291,8 +304,17 @@ def test_json_export_stable(big_plan):
 def test_import_rejects_corrupt_roles(small_plan):
     data = L.export_floorplan(small_plan, "json").decode()
     data = data.replace('"maj_area"', '"lava"')
-    with pytest.raises(ValueError, match="unknown role"):
+    with pytest.raises(ValueError, match="unknown role 'lava'"):
         L.import_floorplan(data)
+
+
+def test_import_rejects_ragged_grid():
+    # four tiles in all, as a 2 x 2 plan needs, but in rows of 3 and 1
+    doc = {"width": 2, "height": 2, "patch_distance": 27,
+           "grid": [["gap"] * 3, ["gap"]], "factories": [],
+           "fixup_boxes": [], "lanes": [], "meta": {}}
+    with pytest.raises(ValueError, match="shape mismatch"):
+        L.import_floorplan(json.dumps(doc))
 
 
 def _ref_svg(plan):
@@ -303,7 +325,7 @@ def _ref_svg(plan):
            f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">']
     for y in range(plan.height):
         for x in range(plan.width):
-            color = L.ROLE_COLORS[plan.grid[y][x]]
+            color = L.ROLE_COLORS[L.ROLES[plan.grid[y * plan.width + x]]]
             out.append(f'<rect x="{x * cell}" y="{y * cell}" '
                        f'width="{cell}" height="{cell}" fill="{color}"/>')
     for fx, fy in plan.factories:
@@ -356,7 +378,7 @@ def test_adder_plans_validate_and_round_trip(bits, n):
     assert L.export_floorplan(L.import_floorplan(data), "json") == data
     assert L.export_floorplan(plan, "svg") == _ref_svg(plan)
     assert plan.meta["stride"] == 2
-    assert plan.count("ccz_factory") == 120 * n
+    assert _count(plan, "ccz_factory") == 120 * n
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -369,3 +391,206 @@ def test_lookup_plans_validate(rows):
     assert plan.height == len(plan.meta["pattern"]) + 3
     assert plan.meta["pattern"].count("L") == rows
     assert plan.meta["iteration_rows"] == 3
+
+
+# ------------------------------------------- reference validators
+#
+# The tile-by-tile validators the array ones replaced, reading the grid
+# as rows of role names. Each array validator must raise exactly when
+# its reference does.
+
+
+def _names(plan):
+    return [[L.ROLES[c] for c in plan.grid[y * plan.width:
+                                           (y + 1) * plan.width]]
+            for y in range(plan.height)]
+
+
+def _ref_neighbours(plan, x, y):
+    for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+        if 0 <= nx < plan.width and 0 <= ny < plan.height:
+            yield nx, ny
+
+
+def _ref_flood(plan, grid, seeds, roles):
+    reached = set(seeds)
+    stack = list(seeds)
+    while stack:
+        for nx, ny in _ref_neighbours(plan, *stack.pop()):
+            if grid[ny][nx] in roles and (nx, ny) not in reached:
+                reached.add((nx, ny))
+                stack.append((nx, ny))
+    return reached
+
+
+def _ref_rectangles(plan, grid, role):
+    seen = set()
+    rects = []
+    for y in range(plan.height):
+        for x in range(plan.width):
+            if grid[y][x] != role or (x, y) in seen:
+                continue
+            tiles = _ref_flood(plan, grid, [(x, y)], {role})
+            seen |= tiles
+            xs = [t[0] for t in tiles]
+            ys = [t[1] for t in tiles]
+            w = max(xs) - min(xs) + 1
+            h = max(ys) - min(ys) + 1
+            if len(tiles) != w * h:
+                raise ValueError("not a filled rectangle")
+            rects.append((min(xs), min(ys), w, h))
+    return sorted(rects)
+
+
+def _ref_touches(plan, grid, x, y, w, h, roles):
+    for xx in range(x, x + w):
+        for yy in (y - 1, y + h):
+            if 0 <= yy < plan.height and grid[yy][xx] in roles:
+                return True
+    for yy in range(y, y + h):
+        for xx in (x - 1, x + w):
+            if 0 <= xx < plan.width and grid[yy][xx] in roles:
+                return True
+    return False
+
+
+def _ref_factories(plan):
+    grid = _names(plan)
+    rects = _ref_rectangles(plan, grid, "ccz_factory")
+    if rects != sorted((x, y, 15, 8) for x, y in plan.factories):
+        raise ValueError("disagree")
+    for rect in rects:
+        if not _ref_touches(plan, grid, *rect, ("gap",)):
+            raise ValueError("no adjacent gap")
+
+
+def _ref_fixups(plan):
+    rects = _ref_rectangles(plan, _names(plan), "fixup_box")
+    if rects != sorted(plan.fixup_boxes):
+        raise ValueError("disagree")
+    if len(rects) != 2 * len(plan.factories):
+        raise ValueError("count")
+    factories = Counter(plan.factories)
+    for bx, by, bw, bh in rects:
+        owners = sum(factories[fx, fy] for fx in range(bx + bw - 15, bx + 1)
+                     for fy in (by + bh, by - 8))
+        if owners != 1:
+            raise ValueError("not attached")
+
+
+def _ref_gaps(plan):
+    grid = _names(plan)
+    by_band = {}
+    for fx, fy in plan.factories:
+        by_band.setdefault(fy, []).append(fx)
+    for fy, xs in by_band.items():
+        xs.sort()
+        for left, right in zip(xs, xs[1:]):
+            if not any(all(grid[yy][cx] == "gap" for yy in range(fy, fy + 8))
+                       for cx in range(left + 15, right)):
+                raise ValueError("no gap column")
+
+
+def _ref_overlap(plan):
+    boxes = [(x, y, 15, 8) for x, y in plan.factories]
+    boxes += list(plan.fixup_boxes)
+    for x, y, w, h in boxes:
+        if x < 0 or y < 0 or x + w > plan.width or y + h > plan.height:
+            raise ValueError("leaves the grid")
+    covered = set()
+    for x, y, w, h in boxes:
+        tiles = {(xx, yy) for xx in range(x, x + w)
+                 for yy in range(y, y + h)}
+        if not covered.isdisjoint(tiles):
+            raise ValueError("overlapping boxes")
+        covered |= tiles
+
+
+def _ref_reachability(plan):
+    grid = _names(plan)
+    seeds = [(x, y) for y in range(plan.height) for x in range(plan.width)
+             if grid[y][x] == "maj_area"]
+    if not seeds:
+        raise ValueError("no MAJ strip")
+    reached = _ref_flood(plan, grid, seeds, {"gap", "maj_area"})
+    for y in range(plan.height):
+        row = [x for x in range(plan.width)
+               if grid[y][x] in ("data_row_target", "data_row_offset")]
+        if row and not any(tile in reached for x in row
+                           for tile in _ref_neighbours(plan, x, y)):
+            raise ValueError("cannot reach")
+
+
+def _ref_lookup_pattern(plan):
+    grid = _names(plan)
+    for row in grid:
+        if row[0] != "access_corridor" or row[-1] != "access_corridor":
+            raise ValueError("corridor")
+    row_role = []
+    for row in grid:
+        inner = set(row[1:-1])
+        if len(inner) != 1:
+            raise ValueError("mixes roles")
+        row_role.append(inner.pop())
+    if "maj_area" not in row_role:
+        raise ValueError("no iteration region")
+    l_rows = [i for i, r in enumerate(row_role) if r == "data_row_target"]
+    if not l_rows:
+        raise ValueError("no target rows")
+    for i in l_rows:
+        if "access_row" not in [row_role[j] for j in (i - 1, i + 1)
+                                if 0 <= j < len(row_role)]:
+            raise ValueError("no adjacent access row")
+    for a, b in zip(l_rows, l_rows[1:]):
+        if b - a == 2 and row_role[a + 1] != "access_row":
+            raise ValueError("do not share")
+
+
+VALIDATORS = (
+    (L.validate_factories, _ref_factories),
+    (L.validate_fixups, _ref_fixups),
+    (L.validate_gaps, _ref_gaps),
+    (L.validate_overlap, _ref_overlap),
+    (L.validate_reachability, _ref_reachability),
+    (L.validate_lookup_pattern, _ref_lookup_pattern),
+)
+
+
+def _raises(check, plan):
+    try:
+        check(plan)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def damaged_plans(draw):
+    """A planned adder or lookup, with 1-3 tiles set to random roles or
+    one factory or fixup box annotation moved by one tile."""
+    if draw(st.booleans()):
+        plan = L.plan_adder_layout(draw(st.integers(2, 300)), SPEC,
+                                   draw(st.integers(2, 8)))
+    else:
+        plan = L.plan_lookup_layout(draw(st.integers(1, 12)), SPEC)
+    if plan.factories and draw(st.booleans()):
+        field = draw(st.sampled_from(["factories", "fixup_boxes"]))
+        boxes = list(getattr(plan, field))
+        i = draw(st.integers(0, len(boxes) - 1))
+        axis = draw(st.integers(0, 1))
+        box = list(boxes[i])
+        box[axis] += draw(st.sampled_from([-1, 1]))
+        boxes[i] = tuple(box)
+        return dataclasses.replace(plan, **{field: tuple(boxes)})
+    changes = draw(st.dictionaries(
+        st.tuples(st.integers(0, plan.width - 1),
+                  st.integers(0, plan.height - 1)),
+        st.sampled_from(L.ROLES), min_size=1, max_size=3))
+    return _mutate(plan, changes)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(damaged_plans())
+def test_validators_match_reference(plan):
+    for check, ref in VALIDATORS:
+        assert _raises(check, plan) == _raises(ref, plan), check.__name__

@@ -1,5 +1,6 @@
 """Diagram evaluation against matrix targets."""
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 from latticeplan import constructions, zx
 from latticeplan.exceptions import CapacityError
-from latticeplan.circuits import (GATES, Circuit, Gate, enumerate_branches,
-                                  plus_state)
+from latticeplan.circuits import (GATES, Circuit, FrameUpdate, Gate,
+                                  enumerate_branches, plus_state)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -201,7 +202,10 @@ def test_full_autoccz_translation_is_ccz():
 def test_frameless_translation_only_pauli_off():
     cons = constructions.build_delayed_choice_cz(True)
     outcomes = {"m1": 1, "m2": 0}
-    g = zx.zx_from_circuit(cons.circuit, outcomes, include_frames=False)
+    frameless = dataclasses.replace(cons.circuit, operations=tuple(
+        op for op in cons.circuit.operations
+        if not isinstance(op, FrameUpdate)))
+    g = zx.zx_from_circuit(frameless, outcomes)
     m = zx.evaluate(g)
     assert zx.equiv_mod_pauli_scalar(m, zx.TARGETS["CZ"])
 
