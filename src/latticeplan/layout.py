@@ -475,18 +475,25 @@ def export_floorplan(plan: Floorplan, fmt: str) -> bytes:
     """Deterministic serialization: `json` round-trips losslessly, `svg`
     draws one rect per tile plus one outline rect per factory."""
     if fmt == "json":
+        # a plan without tiles has only empty rows; otherwise "grid" holds
+        # a placeholder that the tile lines replace
         doc = {
             "width": plan.width,
             "height": plan.height,
             "patch_distance": plan.patch_distance,
-            "grid": [list(map(ROLES.__getitem__, row))
-                     for row in plan.roles.tolist()],
+            "grid": [] if plan.grid else [[]] * plan.height,
             "factories": [list(f) for f in plan.factories],
             "fixup_boxes": [list(b) for b in plan.fixup_boxes],
             "lanes": list(plan.lanes),
             "meta": plan.meta,
         }
-        return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
+        text = (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
+        if not plan.grid:
+            return text
+        # "factories" and "fixup_boxes", the keys before it, hold only
+        # numbers, so the first match is the placeholder
+        head, tail = text.split(b'"grid": []', 1)
+        return head + b'"grid": ' + _json_grid(plan) + tail
     if fmt == "svg":
         w, h = plan.width * _CELL, plan.height * _CELL
         head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
@@ -513,11 +520,43 @@ def export_floorplan(plan: Floorplan, fmt: str) -> bytes:
     raise ValueError(f"unknown export format {fmt!r}")
 
 
+def _json_grid(plan: Floorplan) -> bytes:
+    """The non-empty grid as `json.dumps(indent=1)` lays it out under a
+    top-level key: one line per tile, each row in brackets."""
+    # row 3 * role + end of `lines` is a tile's line: its role name and
+    # what follows it, a comma (end 0), the end of its row (1) or the end
+    # of the grid (2)
+    ends = np.array([',\n', '\n  ],\n  [\n', '\n  ]\n ]'])
+    lines = byte_rows([b'   "', np.repeat(np.array(ROLES), 3), b'"',
+                       np.tile(ends, len(ROLES))])
+    line = plan.roles.ravel() * np.uint8(3)
+    line[plan.width - 1::plan.width] += 1
+    line[-1] += 1
+    out = [b"[\n  [\n"]
+    for part in chunks(len(line)):
+        out.append(squeeze(lines[line[part]]))
+    return b"".join(out)
+
+
+_FIELDS = ("width", "height", "patch_distance", "grid", "factories",
+           "fixup_boxes", "lanes", "meta")
+
+
 def import_floorplan(data: bytes | str) -> Floorplan:
+    """Read what `export_floorplan(plan, "json")` writes; a malformed
+    document raises `ValueError`."""
     if isinstance(data, bytes):
         data = data.decode()
     doc = json.loads(data)
+    if not isinstance(doc, dict):
+        raise ValueError("floorplan document is not a JSON object")
+    missing = [key for key in _FIELDS if key not in doc]
+    if missing:
+        raise ValueError(f"floorplan document lacks {', '.join(missing)}")
     rows = doc["grid"]
+    if not isinstance(rows, list) \
+            or not all(isinstance(row, list) for row in rows):
+        raise ValueError("grid is not a list of rows")
     if len(rows) != doc["height"] \
             or any(len(row) != doc["width"] for row in rows):
         raise ValueError(f"grid shape mismatch: want {doc['width']} x "

@@ -11,7 +11,8 @@ each chunk it gathers every kind's columns at the chunk's rows and lays
 out their key-sorted lines as one byte matrix (`bytefmt`), so no text of
 the whole trace is ever held. The lookup and the serial chain also have
 closed forms, so the lookup and adder summaries and the phase timeline
-need no events at all.
+need no events at all, and a chain's trace is its closed form evaluated
+over every node at once.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ EVENT_KINDS = ("state_ready", "consume", "reaction_decision",
 # Largest trace the simulators build; a 2^20-entry lookup has 4 * 2^20 - 4
 # events. Its columns and sort permutation take about 50 bytes per event
 # and the streamed export a few megabytes more: `schedule --lookup 1048576
-# --out` peaks at 236 MB. The largest adder trace under the cap costs more
-# in its Python DAG: `schedule --m 699052 --out` peaks at 643 MB.
+# --out` peaks at 236 MB. The largest adder trace under the cap, 4.19M
+# events, adds its DAG arrays (about 40 bytes per node): `schedule --m
+# 699052 --out` peaks at 292 MB.
 MAX_TRACE_EVENTS = 1 << 22
 
 
@@ -121,54 +123,76 @@ def check_trace_size(n_events: int, t_max: int) -> None:
         raise CapacityError(f"event time {t_max} ns does not fit in int64")
 
 
-@dataclasses.dataclass(frozen=True)
 class ToffoliDag:
     """Toffoli-level dependency graph. Nodes are indices 0..n-1; an edge
     (a, b) means b waits for a's reaction-time decision.
 
-    Construction builds, in one pass over the edges and one Kahn sweep,
-    the predecessor lists, the topological order (smallest ready node
-    first) and the measurement depth.
+    ``edges`` is held as an (E, 2) int64 array and the predecessors as
+    CSR arrays: the predecessors of node b are
+    ``indices[indptr[b]:indptr[b + 1]]``, in edge order (one stable
+    argsort on the edge targets). A serial chain, whose edges are exactly
+    (k, k + 1) in order, is recognised with one array comparison: its
+    topological order is 0..n-1 and its measurement depth n. Any other
+    graph gets both from one Kahn sweep at construction, smallest ready
+    node first, which is also where a cycle is refused.
     """
 
-    num_nodes: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.num_nodes < 1:
+    def __init__(self, num_nodes: int, edges) -> None:
+        if num_nodes < 1:
             raise ValueError("dag needs at least one node")
-        preds: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        succ: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for a, b in self.edges:
-            if not (0 <= a < self.num_nodes and 0 <= b < self.num_nodes):
-                raise ValueError(f"edge ({a}, {b}) out of range")
-            if a == b:
-                raise ValueError("self edge")
-            preds[b].append(a)
+        edges = np.asarray(edges, dtype=np.int64)
+        if not edges.size:
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError("edges must be (a, b) pairs")
+        bad = ((edges < 0) | (edges >= num_nodes)).any(axis=1)
+        if bad.any():
+            a, b = edges[bad.argmax()].tolist()
+            raise ValueError(f"edge ({a}, {b}) out of range")
+        if (edges[:, 0] == edges[:, 1]).any():
+            raise ValueError("self edge")
+        self.num_nodes = num_nodes
+        self.edges = edges
+        self.indices = edges[np.argsort(edges[:, 1], kind="stable"), 0]
+        self.indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(edges[:, 1], minlength=num_nodes),
+                  out=self.indptr[1:])
+        self.is_chain = len(edges) == num_nodes - 1 and bool(
+            (edges == np.arange(num_nodes - 1)[:, None] + [0, 1]).all())
+        if self.is_chain:
+            self._order = np.arange(num_nodes)
+            self._depth = num_nodes
+        else:
+            self._order, self._depth = self._heap_sweep()
+
+    def _heap_sweep(self) -> tuple[np.ndarray, int]:
+        """Kahn's algorithm popping the smallest ready node first: the
+        topological order and the longest chain, in nodes."""
+        n = self.num_nodes
+        succ: list[list[int]] = [[] for _ in range(n)]
+        for a, b in self.edges.tolist():
             succ[a].append(b)
-        indeg = [len(p) for p in preds]
-        depth = [1] * self.num_nodes
-        ready = [i for i in range(self.num_nodes) if indeg[i] == 0]
+        indeg = np.diff(self.indptr).tolist()
+        depth = [1] * n
+        ready = [i for i in range(n) if indeg[i] == 0]
         order = []
         while ready:
-            n = heapq.heappop(ready)
-            order.append(n)
-            for m in succ[n]:
-                depth[m] = max(depth[m], depth[n] + 1)
+            node = heapq.heappop(ready)
+            order.append(node)
+            for m in succ[node]:
+                depth[m] = max(depth[m], depth[node] + 1)
                 indeg[m] -= 1
                 if indeg[m] == 0:
                     heapq.heappush(ready, m)
-        if len(order) != self.num_nodes:
+        if len(order) != n:
             raise ValueError("dependency cycle")
-        object.__setattr__(self, "_preds", tuple(map(tuple, preds)))
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_depth", max(depth))
+        return np.array(order, dtype=np.int64), max(depth)
 
     def predecessors(self, node: int) -> list[int]:
-        return list(self._preds[node])
+        return self.indices[self.indptr[node]:self.indptr[node + 1]].tolist()
 
     def topological_order(self) -> list[int]:
-        return list(self._order)
+        return self._order.tolist()
 
     @property
     def measurement_depth(self) -> int:
@@ -187,8 +211,8 @@ def adder_toffolis(bits: int) -> int:
 def build_adder_dag(bits: int) -> ToffoliDag:
     """Ripple-carry adder Toffoli chain: 2*bits - 3 serial nodes."""
     n = adder_toffolis(bits)
-    return ToffoliDag(num_nodes=n,
-                      edges=tuple((k, k + 1) for k in range(n - 1)))
+    k = np.arange(n - 1, dtype=np.int64)
+    return ToffoliDag(num_nodes=n, edges=np.column_stack([k, k + 1]))
 
 
 def _ns(us: Fraction) -> int:
@@ -211,19 +235,23 @@ def _timing(spec: FactorySpec, assumptions: PhysicalAssumptions,
     return _ns(spec.ccz_depth_cycles * assumptions.cycle_time_us), reaction
 
 
-def chain_decision(j: int, depth_ns: int, reaction_ns: int,
-                   n_factories: int) -> int:
+def chain_decision(j: int | np.ndarray, depth_ns: int, reaction_ns: int,
+                   n_factories: int) -> int | np.ndarray:
     """Decision time of the j-th node (from 1) of a serial chain fed by
     `n_factories` factories, the closed form of the recurrence
-    dec_j = max(dec_{j-1}, D * ceil(j / F)) + R with dec_0 = 0.
+    dec_j = max(dec_{j-1}, D * ceil(j / F)) + R with dec_0 = 0. ``j`` is
+    an int or an int64 array of node numbers, and the result is of the
+    same kind.
 
     Unrolled, dec_j is the largest D * ceil(i / F) + (j - i + 1) * R over
     i <= j. Within one batch b = ceil(i / F) its first node i = (b-1)F + 1
     is the largest, and D * b + (j - (b - 1) * F) * R is linear in b, so
-    the largest term is at b = 1 or at b = ceil(j / F)."""
-    b = _ceil_div(j, n_factories)
-    return max(depth_ns + j * reaction_ns,
-               depth_ns * b + (j - (b - 1) * n_factories) * reaction_ns)
+    the largest term is at b = 1, D + j * R, or at b = ceil(j / F), which
+    exceeds it by (b - 1) * (D - F * R): supply binds only while one
+    batch takes longer to make than its F reactions."""
+    stall = max(0, depth_ns - n_factories * reaction_ns)
+    return (depth_ns + j * reaction_ns
+            + (_ceil_div(j, n_factories) - 1) * stall)
 
 
 def adder_makespan(bits: int, spec: FactorySpec,
@@ -250,17 +278,25 @@ def simulate_reaction_limited(dag: ToffoliDag, spec: FactorySpec,
     f = min(n_factories, n)
     state = np.arange(1, n + 1, dtype=np.int64)
     ready = depth_ns * _ceil_div(state, f)
-    order = dag.topological_order()
-    decision = [0] * n
-    consume = []
-    for node, t_ready in zip(order, ready.tolist()):
-        preds = max((decision[p] for p in dag.predecessors(node)), default=0)
-        t = max(preds, t_ready)
-        consume.append(t)
-        decision[node] = t + reaction
-    makespan = max(decision)
-    nodes = np.array(order, dtype=np.int64)
-    consume = np.array(consume, dtype=np.int64)
+    if dag.is_chain:
+        # node j - 1 takes state j, and its decision is the closed form
+        nodes = state - 1
+        consume = chain_decision(state, depth_ns, reaction,
+                                 n_factories) - reaction
+        makespan = int(consume[-1]) + reaction
+    else:
+        order = dag.topological_order()
+        decision = [0] * n
+        consume = []
+        for node, t_ready in zip(order, ready.tolist()):
+            preds = max((decision[p] for p in dag.predecessors(node)),
+                        default=0)
+            t = max(preds, t_ready)
+            consume.append(t)
+            decision[node] = t + reaction
+        makespan = max(decision)
+        nodes = np.array(order, dtype=np.int64)
+        consume = np.array(consume, dtype=np.int64)
     # a state_ready tie shares a batch, where factory order is state order
     events = EventTable([
         EventBlock("state_ready", ready, state,

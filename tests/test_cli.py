@@ -427,3 +427,20 @@ def test_wide_zx_spider_is_refused_before_allocating(tmp_path, capsys):
     assert err == (f"error: a tensor with 36 legs exceeds the cap of "
                    f"{zx.MAX_TENSOR_VALUES} values\n")
     assert peak < 1 << 20
+
+
+# ------------------------------------------------------------- memory
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["layout", "--rows", "2"], 0),
+    (["layout", "--rows", "2", "--m", "4"], 2),
+    (["estimate", "--config", "/nonexistent/assumptions.cfg"], 2),
+])
+def test_every_command_returns_its_freed_memory(monkeypatch, capsys, argv,
+                                                want):
+    calls = []
+    monkeypatch.setattr(cli, "_release_freed_memory",
+                        lambda: calls.append(1))
+    assert run(capsys, *argv)[0] == want
+    assert calls == [1, 1]  # before and after the command

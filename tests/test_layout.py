@@ -317,6 +317,47 @@ def test_import_rejects_ragged_grid():
         L.import_floorplan(json.dumps(doc))
 
 
+@pytest.mark.parametrize("doc,message", [
+    ([], "not a JSON object"),
+    ({"width": 1}, "lacks height, patch_distance, grid, factories, "
+                   "fixup_boxes, lanes, meta"),
+    ({"width": 1, "height": 1, "patch_distance": 27, "grid": [5],
+      "factories": [], "fixup_boxes": [], "lanes": [], "meta": {}},
+     "grid is not a list of rows"),
+])
+def test_import_rejects_malformed_documents(doc, message):
+    with pytest.raises(ValueError, match=message):
+        L.import_floorplan(json.dumps(doc))
+
+
+def _ref_json(plan):
+    """The json.dumps writer the array one replaced."""
+    doc = {"width": plan.width, "height": plan.height,
+           "patch_distance": plan.patch_distance,
+           "grid": [[L.ROLES[code] for code in row]
+                    for row in plan.roles.tolist()],
+           "factories": [list(f) for f in plan.factories],
+           "fixup_boxes": [list(b) for b in plan.fixup_boxes],
+           "lanes": list(plan.lanes), "meta": plan.meta}
+    return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
+
+
+@pytest.mark.parametrize("width,height", [(0, 0), (0, 3), (3, 0), (1, 1),
+                                          (1, 4), (4, 1)])
+def test_json_matches_reference_on_thin_grids(width, height):
+    # a meta key named "grid" must not be taken for the grid
+    plan = L.Floorplan(width, height, 27, bytes(width * height), (), (), (),
+                       {"grid": [], "rows": {"grid": 0}})
+    data = L.export_floorplan(plan, "json")
+    assert data == _ref_json(plan)
+    assert L.import_floorplan(data) == plan
+
+
+def test_json_matches_reference(big_plan, small_plan, lookup_plan):
+    for plan in (big_plan, small_plan, lookup_plan):
+        assert L.export_floorplan(plan, "json") == _ref_json(plan)
+
+
 def _ref_svg(plan):
     """The one-f-string-per-tile SVG writer the array one replaced."""
     cell = 8
@@ -375,6 +416,7 @@ def test_adder_plans_validate_and_round_trip(bits, n):
         return
     L.validate_floorplan(plan)
     data = L.export_floorplan(plan, "json")
+    assert data == _ref_json(plan)
     assert L.export_floorplan(L.import_floorplan(data), "json") == data
     assert L.export_floorplan(plan, "svg") == _ref_svg(plan)
     assert plan.meta["stride"] == 2

@@ -7,6 +7,7 @@ once the first batch of states has landed.
 
 import json
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from latticeplan import bytefmt
 from latticeplan import scheduler as S
+from latticeplan.constructions import build_cuccaro_adder
 from latticeplan.exceptions import CapacityError
 from latticeplan.factory import FactorySpec, PhysicalAssumptions
 
@@ -56,6 +58,8 @@ def test_dag_validation():
         S.ToffoliDag(2, ((0, 2),))
     with pytest.raises(ValueError, match="self edge"):
         S.ToffoliDag(2, ((1, 1),))
+    with pytest.raises(ValueError, match="pairs"):
+        S.ToffoliDag(3, ((0, 1, 2),))
     with pytest.raises(ValueError):
         S.ToffoliDag(0, ())
 
@@ -65,6 +69,75 @@ def test_dag_diamond_order_and_depth():
     assert dag.topological_order() == [0, 1, 2, 3]
     assert dag.measurement_depth == 3
     assert sorted(dag.predecessors(3)) == [1, 2]
+
+
+def test_dag_takes_an_edge_array():
+    edges = np.array([[0, 1], [1, 2], [0, 2]])
+    dag = S.ToffoliDag(3, edges)
+    assert not dag.is_chain
+    assert dag.topological_order() == [0, 1, 2]
+    assert dag.predecessors(2) == [1, 0]
+    assert dag.indptr.tolist() == [0, 0, 1, 3]
+    assert dag.indices.tolist() == [0, 1, 0]
+    assert S.ToffoliDag(3, edges[:2]).is_chain
+
+
+def test_chain_recognition():
+    assert S.build_adder_dag(1000).is_chain
+    assert S.ToffoliDag(1, ()).is_chain
+    assert S.ToffoliDag(3, ((0, 1), (1, 2))).is_chain
+    # the same edges in another order, a missing link or one extra edge
+    # take the general path
+    assert not S.ToffoliDag(3, ((1, 2), (0, 1))).is_chain
+    assert not S.ToffoliDag(3, ((0, 1),)).is_chain
+    assert not S.ToffoliDag(3, ((0, 1), (1, 2), (0, 2))).is_chain
+    # ((0, 1), (1, 2)) shifted by one node is not a chain from node 0
+    assert not S.ToffoliDag(3, ((1, 2), (2, 0))).is_chain
+
+
+def _ccz_dependencies(circuit):
+    """The CCZs of ``circuit``, numbered in circuit order, and the pairs
+    (a, b) in which CCZ b touches a wire that CCZ a wrote, directly or
+    through the Clifford gates between them. A CCZ writes all three of
+    its wires: the fixup its reaction decision selects lands on each of
+    them. (Were only a Toffoli's target written, the apex, whose target
+    is the top sum bit, would hang off the chain beside the first
+    down-ripple node.) A CX carries what its control holds into its
+    target; H acts on one wire and carries nothing."""
+    written = [set() for _ in range(circuit.num_qubits)]
+    edges = set()
+    node = 0
+    for op in circuit.operations:
+        if op.name == "CCZ":
+            for wire in op.qubits:
+                edges |= {(a, node) for a in written[wire]}
+            for wire in op.qubits:
+                written[wire].add(node)
+            node += 1
+        elif op.name == "CX":
+            control, target = op.qubits
+            written[target] |= written[control]
+    return node, edges
+
+
+def _transitive_reduction(n, edges):
+    """The edges (a, b) with no longer path from a to b."""
+    succ = {a: {b for x, b in edges if x == a} for a in range(n)}
+    reach = {}
+    for a in reversed(range(n)):  # every edge runs forward in node order
+        reach[a] = set().union(*({b} | reach[b] for b in succ[a]))
+    return {(a, b) for a, b in edges
+            if not any(b in reach[c] for c in succ[a] - {b})}
+
+
+@pytest.mark.parametrize("bits", range(2, 13))
+def test_adder_dag_is_the_circuits_chain(bits):
+    circuit, _ = build_cuccaro_adder(bits)
+    n, edges = _ccz_dependencies(circuit)
+    dag = S.build_adder_dag(bits)
+    assert n == dag.num_nodes
+    assert _transitive_reduction(n, edges) == set(map(tuple,
+                                                       dag.edges.tolist()))
 
 
 # ---------------------------------------------- reaction-limited chain
@@ -499,6 +572,63 @@ def test_reaction_limited_matches_reference(case, factories, reaction):
 
     more = S.simulate_reaction_limited(dag, SPEC, assumptions, factories + 1)
     assert more.makespan_ns <= trace.makespan_ns
+
+
+@st.composite
+def chain_cases(draw):
+    """An adder chain of 1 to 299 nodes, 1 to n + 2 factories, and a
+    factory depth (5 d2 cycles of a drawn cycle time) and a reaction time
+    that put either supply or reaction in charge."""
+    bits = draw(st.integers(2, 151))
+    return dict(bits=bits,
+                factories=draw(st.integers(1, 2 * bits - 1)),
+                d2=draw(st.sampled_from([3, 5, 15, 27, 51])),
+                cycle_ns=draw(st.integers(1, 2000)),
+                reaction=draw(st.integers(1, 200_000)),
+                order=draw(st.randoms(use_true_random=False)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(chain_cases())
+@example(dict(bits=2, factories=3, d2=27, cycle_ns=1000, reaction=10_000,
+              order=random.Random(0)))
+def test_chain_path_matches_general_path_and_reference(case):
+    """The closed-form chain, the same chain with its edges shuffled
+    (the per-node path) and the per-event reference write the same
+    JSONL."""
+    spec = FactorySpec(d2=case["d2"])
+    assumptions = PhysicalAssumptions(
+        cycle_time_us=Fraction(case["cycle_ns"], 1000),
+        reaction_time_us=Fraction(case["reaction"], 1000))
+    chain = S.build_adder_dag(case["bits"])
+    edges = chain.edges.tolist()
+    case["order"].shuffle(edges)
+    if edges == sorted(edges):  # the shuffle left them in chain order
+        edges.reverse()
+    shuffled = S.ToffoliDag(chain.num_nodes, tuple(map(tuple, edges)))
+    assert chain.is_chain and shuffled.is_chain == (len(edges) < 2)
+    f = case["factories"]
+    fast = S.simulate_reaction_limited(chain, spec, assumptions, f)
+    slow = S.simulate_reaction_limited(shuffled, spec, assumptions, f)
+    events, makespan, summary = _ref_reaction_limited(
+        chain, 5 * case["d2"] * case["cycle_ns"], case["reaction"], f)
+    text = _ref_export(events)
+    assert S.export_jsonl(fast) == S.export_jsonl(slow) == text
+    assert fast.makespan_ns == slow.makespan_ns == makespan
+    assert fast.summary == slow.summary == summary
+
+
+def test_chain_decision_takes_an_array():
+    j = np.arange(1, 301, dtype=np.int64)
+    for depth_ns, reaction, factories in [(135000, 10000, 14),
+                                          (135000, 10000, 1),
+                                          (7, 3, 400)]:
+        got = S.chain_decision(j, depth_ns, reaction, factories)
+        assert got.dtype == np.int64
+        assert got.tolist() == [S.chain_decision(k, depth_ns, reaction,
+                                                 factories)
+                                for k in j.tolist()]
+    assert type(S.chain_decision(5, 135000, 10000, 14)) is int
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
