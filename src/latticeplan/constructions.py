@@ -16,7 +16,12 @@ import numpy as np
 
 from .circuits import (CGate, Circuit, Condition, FALSE, FrameUpdate, Gate,
                        GATES, Measure, basis_inputs, check_channel,
-                       parse_condition, random_inputs, run_reversible_table)
+                       parse_condition, random_inputs)
+# nothing here calls run_reversible_table (verify_adder runs the bit-sliced
+# core itself), but bench/tracing.py patches this name
+from .circuits import run_reversible_table  # noqa: F401
+from .circuits.reversible import (LANES, check_table_width, index_word,
+                                  run_words, word_count)
 from .circuits.simulate import ChannelReport
 from .scheduler import adder_toffolis
 
@@ -347,52 +352,59 @@ def verify_construction(construction: Construction, *, random_count: int = 3,
         output_qubits=c.output_qubits)
 
 
-def _read_wires(index: np.ndarray, n: int, wires) -> np.ndarray:
-    """The integer held little-endian on `wires` of each basis index of n
-    qubits (qubit 0 is the most significant bit)."""
-    out = np.zeros_like(index)
-    for k, w in enumerate(wires):
-        out |= ((index >> (n - 1 - w)) & 1) << k
-    return out
+def compare_adder_words(spec: AdderSpec,
+                        out: list) -> tuple[bool, str]:
+    """Check the adder's output words over every (carry-in, a, b) triple
+    against a bit-sliced ripple-carry sum; a failure names the first bad
+    triple in the order carry-in, then a, then b.
 
-
-def _write_wires(value: np.ndarray, n: int, wires) -> np.ndarray:
-    """The basis-index bits that hold `value` little-endian on `wires`."""
-    out = np.zeros_like(value)
-    for k, w in enumerate(wires):
-        out |= ((value >> k) & 1) << (n - 1 - w)
-    return out
-
-
-def compare_adder_table(spec: AdderSpec,
-                        table: np.ndarray) -> tuple[bool, str]:
-    """Check a truth table of the adder against integer addition on every
-    (carry-in, a, b) triple at once; a failure names the first bad triple
-    in the order carry-in, then a, then b."""
-    m, n = spec.bits, spec.num_qubits
-    # triple i is (c_in, a, b) = (i >> 2m-1, the m-1 bits above b, low m)
-    triple = np.arange(1 << (2 * m), dtype=np.int64)
-    c_in = triple >> (2 * m - 1)
-    a = (triple >> m) & ((1 << (m - 1)) - 1)
-    b = triple & ((1 << m) - 1)
-    fields = ((spec.c_wire,), spec.i_wires, spec.t_wires)
-    # the fields are disjoint bits, so their sum is the input index
-    out = table[sum(_write_wires(v, n, w)
-                    for v, w in zip((c_in, a, b), fields))]
-    got = [_read_wires(out, n, w) for w in fields]
-    want = [c_in, a, (a + b + c_in) & ((1 << m) - 1)]
-    bad = np.any([g != w for g, w in zip(got, want)], axis=0)
-    if bad.any():
-        i = int(bad.argmax())
-        return False, (f"adder-{m}: {c_in[i]},{a[i]},{b[i]} -> "
-                       f"{tuple(int(g[i]) for g in got)}, "
-                       f"want {tuple(int(w[i]) for w in want)}")
-    return True, f"adder-{m}: {1 << (2 * m)} inputs exact"
+    Triple i is lane i of `out`, with carry-in on bit 2m-1 of i, a on the
+    m-1 bits below it and b on the low m bits."""
+    m = spec.bits
+    count = 1 << (2 * m)
+    words = word_count(count)
+    c_in = index_word(2 * m - 1, words)
+    bad = out[spec.c_wire] ^ c_in
+    carry = c_in
+    for k, wire in enumerate(spec.t_wires):
+        b = index_word(k, words)
+        if k < m - 1:
+            a = index_word(m + k, words)
+            bad |= out[spec.i_wires[k]] ^ a
+            bad |= out[wire] ^ a ^ b ^ carry
+            carry = (a & b) | (carry & (a ^ b))
+        else:
+            bad |= out[wire] ^ b ^ carry
+    if count < LANES:  # a lone word: drop its spare lanes
+        bad &= np.uint64((1 << count) - 1)
+    hits = np.flatnonzero(bad)
+    if not len(hits):
+        return True, f"adder-{m}: {count} inputs exact"
+    w = int(hits[0])
+    word = int(bad[w])
+    lane = (word & -word).bit_length() - 1
+    i = w * LANES + lane
+    c, a, b = i >> (2 * m - 1), (i >> m) & ((1 << (m - 1)) - 1), \
+        i & ((1 << m) - 1)
+    got = tuple(sum((int(out[x][w]) >> lane & 1) << k
+                    for k, x in enumerate(field))
+                for field in ((spec.c_wire,), spec.i_wires, spec.t_wires))
+    return False, (f"adder-{m}: {c},{a},{b} -> {got}, "
+                   f"want {(c, a, (a + b + c) & ((1 << m) - 1))}")
 
 
 def verify_adder(bits: int) -> tuple[bool, str]:
-    """Exhaustive classical check of the adder against integer addition."""
+    """Exhaustive classical check of the adder against integer addition:
+    the circuit runs bit-sliced over every (carry-in, a, b) triple."""
     circuit, spec = build_cuccaro_adder(bits)
     if circuit.gate_count("CCZ") != spec.toffoli_count:
         return False, f"adder-{bits}: wrong CCZ count"
-    return compare_adder_table(spec, run_reversible_table(circuit))
+    check_table_width(spec.num_qubits)
+    # each wire starts as the triple-index bit it holds (see above)
+    bit_of = {spec.c_wire: 2 * bits - 1}
+    bit_of.update((w, k) for k, w in enumerate(spec.t_wires))
+    bit_of.update((w, bits + k) for k, w in enumerate(spec.i_wires))
+    words = word_count(1 << (2 * bits))
+    wires = [index_word(bit_of[w], words) for w in range(spec.num_qubits)]
+    run_words(circuit, wires)
+    return compare_adder_words(spec, wires)

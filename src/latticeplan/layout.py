@@ -565,13 +565,32 @@ def import_floorplan(data: bytes | str) -> Floorplan:
         grid = bytes(map(CODE.__getitem__, chain.from_iterable(rows)))
     except KeyError as exc:
         raise ValueError(f"unknown role {exc.args[0]!r}") from None
+    if not _is_int(doc["patch_distance"]):
+        raise ValueError("patch_distance is not an integer")
+    if not _is_int_list(doc["lanes"]):
+        raise ValueError("lanes is not a list of integers")
+    for key, size in (("factories", 2), ("fixup_boxes", 4)):
+        if not isinstance(doc[key], list) \
+                or not all(_is_int_list(item, size) for item in doc[key]):
+            raise ValueError(f"{key} is not a list of lists of {size} "
+                             "integers")
     return Floorplan(
         width=doc["width"],
         height=doc["height"],
         patch_distance=doc["patch_distance"],
         grid=grid,
-        factories=tuple((x, y) for x, y in doc["factories"]),
-        fixup_boxes=tuple(tuple(b) for b in doc["fixup_boxes"]),
+        factories=tuple(map(tuple, doc["factories"])),
+        fixup_boxes=tuple(map(tuple, doc["fixup_boxes"])),
         lanes=tuple(doc["lanes"]),
         meta=doc["meta"],
     )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value, size: int | None = None) -> bool:
+    """Whether `value` is a list of integers, `size` of them if given."""
+    return isinstance(value, list) and size in (None, len(value)) \
+        and all(map(_is_int, value))

@@ -2,6 +2,8 @@
 
 import dataclasses
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticeplan import constructions as C
-from latticeplan.circuits import (CGate, Circuit, basis_inputs,
+from latticeplan.circuits import (CGate, Circuit, Gate, basis_inputs,
                                   check_channel, enumerate_branches,
                                   run_reversible_table)
 
@@ -243,13 +245,35 @@ def _loop_adder_check(spec, table):
     return True, f"adder-{m}: {1 << (2 * m)} inputs exact"
 
 
+def adder_table_words(spec, table):
+    """The output words of a truth table over every (carry-in, a, b)
+    triple, triple i in lane i, as `verify_adder` lays them out."""
+    m, n = spec.bits, spec.num_qubits
+    triple = np.arange(1 << (2 * m), dtype=np.int64)
+    values = (triple >> (2 * m - 1), (triple >> m) & ((1 << (m - 1)) - 1),
+              triple & ((1 << m) - 1))
+    index = np.zeros_like(triple)
+    for value, wires in zip(values, ((spec.c_wire,), spec.i_wires,
+                                     spec.t_wires)):
+        for k, w in enumerate(wires):
+            index |= ((value >> k) & 1) << (n - 1 - w)
+    out = table[index]
+    words = []
+    for q in range(n):
+        lanes = ((out >> (n - 1 - q)) & 1).astype(np.uint8)
+        lanes = np.pad(lanes, (0, -len(lanes) % 64))
+        words.append(np.packbits(lanes, bitorder="little").view("<u8")
+                     .astype(np.uint64))
+    return words
+
+
 def test_adder_table_check_names_first_bad_triple():
     circuit, spec = C.build_cuccaro_adder(4)
     table = run_reversible_table(circuit)
-    assert C.compare_adder_table(spec, table) == \
+    assert C.compare_adder_words(spec, adder_table_words(spec, table)) == \
         (True, "adder-4: 256 inputs exact")
     table[[5, 6]] = table[[6, 5]]
-    result = C.compare_adder_table(spec, table)
+    result = C.compare_adder_words(spec, adder_table_words(spec, table))
     assert result == (False, "adder-4: 0,0,12 -> (0, 4, 8), want (0, 0, 12)")
     assert result == _loop_adder_check(spec, table)
 
@@ -263,8 +287,45 @@ def test_adder_table_check_matches_loop(m, data):
     for _ in range(data.draw(st.integers(0, 3))):
         i = data.draw(st.integers(0, size - 1))
         table[i] = data.draw(st.integers(0, size - 1))
-    assert C.compare_adder_table(spec, table) == \
+    assert C.compare_adder_words(spec, adder_table_words(spec, table)) == \
         _loop_adder_check(spec, table)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 5), st.booleans(), st.data())
+def test_verify_adder_matches_loop_on_broken_circuits(m, drop, data):
+    """One CX of the adder dropped or retargeted: the bit-sliced check
+    names the same first bad triple as the loop over the circuit's
+    table."""
+    circuit, spec = C.build_cuccaro_adder(m)
+    ops = list(circuit.operations)
+    cxs = [k for k, op in enumerate(ops) if op.name == "CX"]
+    k = data.draw(st.sampled_from(cxs))
+    if drop:
+        del ops[k]
+    else:
+        control, target = ops[k].qubits
+        others = [q for q in range(spec.num_qubits)
+                  if q not in (control, target)]
+        ops[k] = Gate("CX", (control, data.draw(st.sampled_from(others))))
+    broken = Circuit(circuit.num_qubits, tuple(ops))
+    with mock.patch.object(C, "build_cuccaro_adder",
+                           return_value=(broken, spec)):
+        result = C.verify_adder(m)
+    assert result == _loop_adder_check(spec, run_reversible_table(broken))
+
+
+def test_verify_adder_11_stays_small():
+    # one bit per input: 22 wires of 2^16 words, not 22 int64 columns of
+    # 2^22 rows (about 0.8 GB)
+    tracemalloc.start()
+    try:
+        ok, msg = C.verify_adder(11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (ok, msg) == (True, "adder-11: 4194304 inputs exact")
+    assert peak < 64 << 20
 
 
 def test_adder_pack_unpack_round_trip():

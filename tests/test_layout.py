@@ -317,6 +317,11 @@ def test_import_rejects_ragged_grid():
         L.import_floorplan(json.dumps(doc))
 
 
+_TINY_DOC = {"width": 1, "height": 1, "patch_distance": 27,
+             "grid": [["gap"]], "factories": [], "fixup_boxes": [],
+             "lanes": [], "meta": {}}
+
+
 @pytest.mark.parametrize("doc,message", [
     ([], "not a JSON object"),
     ({"width": 1}, "lacks height, patch_distance, grid, factories, "
@@ -324,6 +329,14 @@ def test_import_rejects_ragged_grid():
     ({"width": 1, "height": 1, "patch_distance": 27, "grid": [5],
       "factories": [], "fixup_boxes": [], "lanes": [], "meta": {}},
      "grid is not a list of rows"),
+    ({**_TINY_DOC, "patch_distance": "a"}, "patch_distance is not an integer"),
+    ({**_TINY_DOC, "factories": [0]},
+     "factories is not a list of lists of 2 integers"),
+    ({**_TINY_DOC, "fixup_boxes": [1]},
+     "fixup_boxes is not a list of lists of 4 integers"),
+    ({**_TINY_DOC, "fixup_boxes": [[0, 0, 1]]},
+     "fixup_boxes is not a list of lists of 4 integers"),
+    ({**_TINY_DOC, "lanes": 5}, "lanes is not a list of integers"),
 ])
 def test_import_rejects_malformed_documents(doc, message):
     with pytest.raises(ValueError, match=message):

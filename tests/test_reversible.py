@@ -2,16 +2,66 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeplan.circuits import (MAX_TABLE_QUBITS, Circuit, Gate,
                                   basis_state, enumerate_branches,
                                   run_reversible_table)
+from latticeplan.circuits.reversible import _classical_ops
 from latticeplan.exceptions import CapacityError
 
 
 def _classical(num_qubits, *ops):
     return Circuit(num_qubits=num_qubits, operations=tuple(ops),
                    initial_states=("?",) * num_qubits)
+
+
+def _ref_table(circuit):
+    """The int64-column simulator the bit-sliced one replaced: one int64
+    per basis input per wire."""
+    n = circuit.num_qubits
+    idx = np.arange(1 << n, dtype=np.int64)
+    cols = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
+    for op in _classical_ops(circuit):
+        if op[0] == "X":
+            cols[op[1]] = cols[op[1]] ^ 1
+        elif op[0] == "CX":
+            cols[op[2]] = cols[op[2]] ^ cols[op[1]]
+        else:
+            cols[op[3]] = cols[op[3]] ^ (cols[op[1]] & cols[op[2]])
+    out = np.zeros(1 << n, dtype=np.int64)
+    for q in range(n):
+        out |= cols[q] << (n - 1 - q)
+    return out
+
+
+@st.composite
+def reversible_circuits(draw):
+    """1-10 wires, so tables of one partly filled word up to 16 words, and
+    wires holding index bits on both sides of bit 6; gates X, CX, CCX and
+    H.CCZ.H."""
+    n = draw(st.integers(1, 10))
+    kinds = ["X"] + (["CX"] if n >= 2 else []) + \
+        (["CCX", "CCZ"] if n >= 3 else [])
+    ops = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(kinds))
+        arity = {"X": 1, "CX": 2, "CCX": 3, "CCZ": 3}[kind]
+        qs = tuple(draw(st.permutations(range(n)))[:arity])
+        if kind == "CCZ":
+            ops += [Gate("H", qs[-1:]), Gate("CCZ", qs), Gate("H", qs[-1:])]
+        else:
+            ops.append(Gate(kind, qs))
+    return _classical(n, *ops)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(reversible_circuits())
+def test_matches_int64_reference(circuit):
+    table = run_reversible_table(circuit)
+    assert table.dtype == np.int64
+    assert np.array_equal(table, _ref_table(circuit))
 
 
 def test_cx_table():

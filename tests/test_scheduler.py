@@ -794,6 +794,28 @@ def test_export_refuses_negative_values():
         S.export_jsonl(trace)
 
 
+_DIGIT_EDGES = (0, 9, 10, 9999, 10000, 10 ** 16, 2 ** 63 - 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 19).flatmap(lambda width: st.lists(
+    st.one_of(st.sampled_from([v for v in _DIGIT_EDGES
+                               if len(str(v)) <= width]),
+              st.integers(0, min(10 ** width, 2 ** 63) - 1)),
+    min_size=1, max_size=40)))
+def test_digits_match_str(values):
+    digits = bytefmt._digits(np.array(values, dtype=np.int64))
+    assert digits.shape == (len(values), len(str(max(values))))
+    # right-aligned: the padding is 0 bytes on the left only
+    assert [bytes(row).lstrip(b"\0").decode() for row in digits] == \
+        [str(v) for v in values]
+
+
+def test_digits_refuse_negative_values():
+    with pytest.raises(ValueError, match="negative value -3"):
+        bytefmt._digits(np.array([2, -3, 10 ** 17]))
+
+
 def test_streamed_export_memory_is_bounded():
     """A 65536-entry lookup (262140 events, 17.7 MB of JSONL) is written
     one chunk at a time, in a few megabytes beyond the trace itself."""
