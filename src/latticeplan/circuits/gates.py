@@ -2,7 +2,11 @@
 
 Convention: qubit 0 is the most significant bit of the basis index, so
 ``basis_state("110")`` has amplitude 1 at index 6. All gates are stored as
-unitary matrices over their arity and applied by tensor reshaping.
+unitary matrices over their arity. A gate is applied on sub-block views of
+the state: each output sub-block is written from the nonzero entries of
+its matrix row by copies, negations, sums and scalings, with no transposed
+copy and no BLAS call, so every amplitude is the same rounded operations
+however many columns are carried along.
 """
 
 from __future__ import annotations
@@ -64,8 +68,9 @@ def apply_unitary(vec: np.ndarray, u: np.ndarray, qubits: Sequence[int],
     """Apply ``u`` to ``qubits`` of an n-qubit statevector.
 
     ``qubits`` are tensor positions under the MSB-first convention; the
-    matrix's own qubit 0 acts on ``qubits[0]``. A ``(2^n, C)`` array is
-    C statevectors side by side; each column is transformed.
+    matrix's own qubit 0 acts on ``qubits[0]``. A ``(2^n, ...)`` array
+    is that many statevectors side by side; each is transformed, and the
+    result is a new C-contiguous array of the same shape.
     """
     k = len(qubits)
     if u.shape != (1 << k, 1 << k):
@@ -75,11 +80,58 @@ def apply_unitary(vec: np.ndarray, u: np.ndarray, qubits: Sequence[int],
     for q in qubits:
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for {n} qubits")
-    t = vec.reshape((2,) * n + (-1,))
-    t = np.moveaxis(t, qubits, range(k))
-    t = u @ t.reshape(1 << k, -1)
-    t = np.moveaxis(t.reshape((2,) * n + (-1,)), range(k), qubits)
-    return np.ascontiguousarray(t.reshape(vec.shape))
+    # Rows as (2^a, 2, 2^b, 2, ..., rest): one size-2 axis per gate qubit
+    # in ascending order, each run of untouched qubits merged.
+    order = sorted(qubits)
+    shape: list[int] = []
+    prev = -1
+    for q in order:
+        shape += [1 << (q - prev - 1), 2]
+        prev = q
+    shape += [1 << (n - 1 - prev), -1]
+    src = vec.reshape(shape)
+    out = np.empty(vec.shape, np.result_type(vec, u))
+    dst = out.reshape(shape)
+    axes = [2 * order.index(q) + 1 for q in qubits]
+
+    def sub(t: np.ndarray, j: int) -> np.ndarray:
+        index: list = [slice(None)] * len(shape)
+        for i, axis in enumerate(axes):
+            index[axis] = (j >> (k - 1 - i)) & 1
+        return t[tuple(index)]
+
+    for j, row in enumerate(u):
+        _write_row(sub(dst, j), [(row[i], sub(src, i))
+                                 for i in np.flatnonzero(row)])
+    return out
+
+
+def _write_row(target: np.ndarray, terms: list) -> None:
+    """Set ``target`` to the sum of coefficient x sub-block over
+    ``terms``, elementwise, so that every amplitude is the same rounded
+    operations whatever the block's shape. Coefficients of one real
+    magnitude are a chain of copies, negations, sums and differences
+    followed by one real scale; any others are multiplied in."""
+    if not terms:
+        target[...] = 0
+        return
+    coeffs = np.array([c for c, _ in terms])
+    scale = abs(coeffs[0].real)
+    if (coeffs.imag == 0).all() and (np.abs(coeffs.real) == scale).all():
+        signs = coeffs.real > 0
+        first = terms[0][1]
+        if signs[0]:
+            np.copyto(target, first)
+        else:
+            np.negative(first, out=target)
+        for positive, (_, block) in zip(signs[1:], terms[1:]):
+            (np.add if positive else np.subtract)(target, block, out=target)
+        if scale != 1:
+            np.multiply(target, scale, out=target)
+        return
+    np.multiply(terms[0][1], terms[0][0], out=target)
+    for c, block in terms[1:]:
+        target += c * block
 
 
 def apply_gate(vec: np.ndarray, name: str, qubits: Sequence[int],

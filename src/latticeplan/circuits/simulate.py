@@ -112,7 +112,7 @@ def _bit_strings(bits: np.ndarray) -> list[str]:
     return chars.view(f"S{bits.shape[1]}")[:, 0].astype(str).tolist()
 
 
-def _walk(circuit: Circuit, block: np.ndarray, prob_floor: float) -> _Walk:
+def _walk(circuit: Circuit, block: np.ndarray) -> _Walk:
     """Run every measurement branch of the circuit on all columns of
     ``block`` at once, breadth first: one array holds every live outcome
     prefix, and each operation is one step over all of them.
@@ -123,7 +123,7 @@ def _walk(circuit: Circuit, block: np.ndarray, prob_floor: float) -> _Walk:
     acts on the prefixes it selects. A measurement splits prefix b into
     children 2b and 2b + 1, which keeps the prefixes in lexicographic
     order; a child whose squared norm, summed over the columns, is at
-    most ``prob_floor`` ends as a stub.
+    most ``PROB_FLOOR`` ends as a stub.
     """
     survivors = circuit.surviving_qubits
     alive = list(range(circuit.num_qubits))
@@ -173,7 +173,7 @@ def _walk(circuit: Circuit, block: np.ndarray, prob_floor: float) -> _Walk:
                                     np.tile((False, True), count)))
             x, z, bad = (np.repeat(v, 2) for v in (x, z, bad))
             parts = block.view(np.float64)  # real and imaginary parts
-            live = np.einsum("rbc,rbc->b", parts, parts) > prob_floor
+            live = np.einsum("rbc,rbc->b", parts, parts) > PROB_FLOOR
             if not live.all():
                 stubs += _bit_strings(bits[~live])
                 block, bits = block[:, live], bits[live]
@@ -198,8 +198,7 @@ def enumerate_branches(circuit: Circuit,
     """
     if input_state is not None and input_state.ndim != 1:
         raise ValueError("input state must be one vector")
-    walk = _walk(circuit, initial_vector(circuit, input_state)[:, None],
-                 PROB_FLOOR)
+    walk = _walk(circuit, initial_vector(circuit, input_state)[:, None])
     survivors = circuit.surviving_qubits
     keys = circuit.measurement_keys
     shifts = np.arange(len(survivors) - 1, -1, -1)
@@ -269,7 +268,7 @@ def kraus_operators(circuit: Circuit, output_qubits: tuple[int, ...]
             f"{circuit.num_qubits} qubits with {k} inputs exceed the cap "
             f"of {MAX_KRAUS_VALUES} values for the Kraus walk")
     walk = _walk(circuit, initial_vector(
-        circuit, np.eye(1 << k, dtype=np.complex128)), PROB_FLOOR)
+        circuit, np.eye(1 << k, dtype=np.complex128)))
     count, n = walk.block.shape[1], len(survivors)
     kraus = apply_pauli(walk.block.transpose(1, 0, 2), walk.x, walk.z)
     perm = [survivors.index(q) for q in output_qubits]
@@ -277,6 +276,20 @@ def kraus_operators(circuit: Circuit, output_qubits: tuple[int, ...]
     kraus = kraus.transpose([0] + [1 + p for p in perm] + [n + 1])
     kraus = np.ascontiguousarray(kraus.reshape(count, 1 << n, 1 << k))
     return _bit_strings(walk.bits), kraus, len(walk.stubs)
+
+
+def _distinct_rows(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the operators of a contiguous (R, ...) array by their bytes.
+    Returns the index of one operator per group and the (R,) group
+    number of every operator."""
+    words = kraus.reshape(len(kraus), -1).view(np.uint64)
+    order = np.lexsort(words.T)
+    ordered = words[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = np.cumsum(starts) - 1
+    return order[starts], group
 
 
 def check_channel(circuit: Circuit, unitary: np.ndarray, *,
@@ -315,17 +328,25 @@ def check_channel(circuit: Circuit, unitary: np.ndarray, *,
         / np.vdot(unitary, unitary).real
     errs = np.abs(scaled - coeff[:, None, None] * unitary).max(axis=(1, 2))
 
+    # An input's error through K_r depends on the bytes of K_r alone, so
+    # each distinct operator is run once and its result shared.
+    reps, group = _distinct_rows(kraus)
+    size = np.bincount(group)
+    distinct = kraus[reps]
+    input_errs = np.zeros(len(reps))
     checked = 0
     for _, state in inputs:
         expected = unitary @ state
-        actual = kraus @ state
+        actual = distinct @ state
         probs = np.einsum("rd,rd->r", actual.conj(), actual).real
         seen = probs > PROB_FLOOR
         actual = actual[seen] / np.sqrt(probs[seen])[:, None]
         phase = np.exp(1j * np.angle(actual @ expected.conj()))
-        errs[seen] = np.maximum(
-            errs[seen], np.abs(actual - phase[:, None] * expected).max(axis=1))
-        checked += int(seen.sum())
+        input_errs[seen] = np.maximum(
+            input_errs[seen],
+            np.abs(actual - phase[:, None] * expected).max(axis=1))
+        checked += int(size[seen].sum())
+    errs = np.maximum(errs, input_errs[group])
 
     failures = [f"branch {bits[r]}: max amplitude error {errs[r]:.3e}"
                 for r in np.nonzero(errs > ATOL)[0]]

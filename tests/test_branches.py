@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latticeplan.circuits import (CGate, Circuit, FrameUpdate, Gate, Measure,
@@ -14,12 +14,14 @@ from latticeplan.circuits import (CGate, Circuit, FrameUpdate, Gate, Measure,
                                   check_channel, enumerate_branches,
                                   evaluate_condition, parse_condition,
                                   random_state)
+from latticeplan.circuits import simulate
 from latticeplan.circuits.frame import apply_pauli
 from latticeplan.circuits.gates import GATE_ARITY
-from latticeplan.circuits.simulate import (PROB_FLOOR, _bit_strings, _walk,
+from latticeplan.circuits.simulate import (ATOL, PROB_FLOOR, ChannelReport,
+                                           _bit_strings, _walk, basis_inputs,
                                            initial_vector, input_qubits_of,
-                                           kraus_operators)
-from latticeplan.constructions import CONSTRUCTIONS
+                                           kraus_operators, random_inputs)
+from latticeplan.constructions import CONSTRUCTIONS, verify_construction
 from latticeplan.exceptions import CapacityError, ContractError
 
 
@@ -334,7 +336,7 @@ class _Leaf(NamedTuple):
     flips: tuple[tuple[int, str], ...]
 
 
-def _reference_walk(circuit, block, prob_floor=PROB_FLOOR):
+def _reference_walk(circuit, block):
     """The recursive depth-first walk that the breadth-first one
     replaced: one call per outcome prefix, the 0 outcome first."""
     leaves: list[_Leaf] = []
@@ -366,7 +368,7 @@ def _reference_walk(circuit, block, prob_floor=PROB_FLOOR):
                 for m in (0, 1):
                     child = t.take(m, axis=pos).reshape(-1, t.shape[-1])
                     new_outcomes = {**outcomes, op.key: m}
-                    if float(np.vdot(child, child).real) <= prob_floor:
+                    if float(np.vdot(child, child).real) <= PROB_FLOOR:
                         leaves.append(_Leaf(bits + str(m), None, flips))
                     else:
                         walk(child, rest, op_index, new_outcomes,
@@ -398,13 +400,17 @@ def _reference_live(circuit, leaves):
 @settings(max_examples=150, deadline=None, derandomize=True,
           database=None)
 @given(adaptive_circuits(), st.integers(0, 2 ** 32 - 1))
+# a matmul gate kernel rounded this circuit's random column differently
+# in a (2, 4) block than in two (2, 2) blocks
+@example(Circuit(3, (Measure(1, "m0", "z", TRUE), Gate("I", (0,)),
+                     Gate("T", (0,))), ("?", "0", "0")), 1)
 def test_walk_matches_reference(circuit, seed):
     k = len(input_qubits_of(circuit))
     psi = random_state(k, np.random.default_rng(seed))
     for columns in (np.eye(1 << k, dtype=np.complex128), psi[:, None]):
         start = initial_vector(circuit, columns)
         leaves = _reference_walk(circuit, start)
-        walk = _walk(circuit, start, PROB_FLOOR)
+        walk = _walk(circuit, start)
         live, block, masks = _reference_live(circuit, leaves)
         assert _bit_strings(walk.bits) == live
         # stubs interleave by their bits as the depth-first walk emits them
@@ -435,3 +441,85 @@ def test_kraus_operators_match_reference_walk(name):
     assert bits == live
     assert stubs == len(leaves) - len(live)
     assert np.array_equal(kraus, want.reshape(kraus.shape))
+
+
+# ------------------------------------------------- reference channel check
+
+
+def _reference_check_channel(circuit, unitary, inputs, output_qubits):
+    """The channel check that runs every input through all R Kraus
+    operators, before equal operators were grouped."""
+    bits, kraus, truncated = kraus_operators(circuit, output_qubits)
+    k = kraus.shape[2].bit_length() - 1
+    weight = np.einsum("rdc,rdc->r", kraus.conj(), kraus).real
+    scaled = kraus * np.sqrt((1 << k) / weight)[:, None, None]
+    coeff = np.einsum("dc,rdc->r", unitary.conj(), scaled) \
+        / np.vdot(unitary, unitary).real
+    errs = np.abs(scaled - coeff[:, None, None] * unitary).max(axis=(1, 2))
+    checked = 0
+    for _, state in inputs:
+        expected = unitary @ state
+        actual = kraus @ state
+        probs = np.einsum("rd,rd->r", actual.conj(), actual).real
+        seen = probs > PROB_FLOOR
+        actual = actual[seen] / np.sqrt(probs[seen])[:, None]
+        phase = np.exp(1j * np.angle(actual @ expected.conj()))
+        errs[seen] = np.maximum(
+            errs[seen], np.abs(actual - phase[:, None] * expected).max(axis=1))
+        checked += int(seen.sum())
+    failures = [f"branch {bits[r]}: max amplitude error {errs[r]:.3e}"
+                for r in np.nonzero(errs > ATOL)[0]]
+    gram = np.einsum("rdi,rdj->ij", kraus.conj(), kraus)
+    incomplete = float(np.abs(gram - np.eye(1 << k)).max())
+    if incomplete > ATOL:
+        failures.append("sum of K_r^dagger K_r differs from the identity "
+                        f"by {incomplete:.3e}")
+    return ChannelReport(not failures, len(inputs), checked, truncated,
+                         float(errs.max()), tuple(failures))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          database=None)
+@given(adaptive_circuits(), st.integers(0, 2 ** 32 - 1))
+def test_check_channel_matches_reference(circuit, seed):
+    outs = circuit.surviving_qubits
+    k = len(input_qubits_of(circuit))
+    rng = np.random.default_rng(seed)
+    shape = (1 << len(outs), 1 << k)
+    # a rectangular identity passes on some circuits, a random target fails
+    unitary = np.eye(*shape, dtype=np.complex128) if seed % 2 else \
+        rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    inputs = basis_inputs(k) + random_inputs(k, 3, seed=seed)
+    assert check_channel(circuit, unitary, inputs=inputs,
+                         output_qubits=outs) == \
+        _reference_check_channel(circuit, unitary, inputs, outs)
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTIONS))
+def test_verify_construction_matches_reference(name):
+    c = CONSTRUCTIONS[name]()
+    k = len(c.input_qubits)
+    report = verify_construction(c, random_count=20, seed=11)
+    want = _reference_check_channel(
+        c.circuit, c.target, basis_inputs(k) + random_inputs(k, 20, seed=11),
+        c.output_qubits)
+    assert report == want
+    assert report.ok
+
+
+def test_corrupted_operator_is_named(monkeypatch):
+    """One operator of mux-skip, byte-equal to others, is given a sign
+    error on one input column: that outcome string alone must fail."""
+    c = CONSTRUCTIONS["mux-skip"]()
+    bits, kraus, truncated = kraus_operators(c.circuit, c.output_qubits)
+    words = kraus.reshape(len(kraus), -1).view(np.uint64)
+    twins = (words == words[-1]).all(axis=1)
+    assert twins.sum() > 1
+    bad = kraus.copy()
+    bad[-1, :, 0] *= -1
+    monkeypatch.setattr(simulate, "kraus_operators",
+                        lambda *args: (bits, bad, truncated))
+    report = verify_construction(c)
+    assert not report.ok
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith(f"branch {bits[-1]}: ")

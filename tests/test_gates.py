@@ -6,11 +6,14 @@ index.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeplan.circuits import (GATES, MAX_QUBITS, StateVector, apply_gate,
                                   apply_unitary, basis_state,
                                   kron_with_ancillas, plus_state,
                                   random_state)
+from latticeplan.circuits.gates import GATE_ARITY
 from latticeplan.exceptions import CapacityError
 
 
@@ -117,6 +120,62 @@ def test_apply_unitary_two_qubit_adjacent():
     cz = GATES["CZ"]
     full = np.kron(cz, np.eye(2))
     assert np.allclose(apply_unitary(vec, cz, (0, 1), 3), full @ vec)
+
+
+def _dense(u, qubits, n):
+    """The 2^n x 2^n matrix of ``u`` on ``qubits``: u (x) I on the gate
+    qubits followed by the others, conjugated by the qubit permutation."""
+    order = list(qubits) + [q for q in range(n) if q not in qubits]
+    dim = 1 << n
+    perm = np.eye(dim).reshape((2,) * n + (dim,)).transpose(order + [n])
+    perm = perm.reshape(dim, dim)
+    return perm.T @ np.kron(u, np.eye(dim >> len(qubits))) @ perm
+
+
+def _random_unitary(k, rng):
+    z = rng.normal(size=(1 << k,) * 2) + 1j * rng.normal(size=(1 << k,) * 2)
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def _gate_cases(draw):
+    n = draw(st.integers(1, 6))
+    name = draw(st.sampled_from(
+        [g for g, a in sorted(GATE_ARITY.items()) if a <= n] + ["dense"]))
+    k = draw(st.integers(1, min(3, n))) if name == "dense" \
+        else GATE_ARITY[name]
+    qubits = tuple(draw(st.permutations(range(n)))[:k])
+    return n, name, qubits, draw(st.integers(1, 3)), draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          database=None)
+@given(_gate_cases(), st.integers(0, 2 ** 32 - 1))
+def test_apply_unitary_matches_dense_kron(case, seed):
+    n, name, qubits, ndim, strided = case
+    rng = np.random.default_rng(seed)
+    u = _random_unitary(len(qubits), rng) if name == "dense" \
+        else GATES[name]
+    shape = ((1 << n), 3, 2)[:ndim]
+    if strided:  # a non-contiguous copy, as the walk's block[:, where]
+        shape = shape[:1] + (shape[1] + 2,) + shape[2:] if ndim > 1 \
+            else shape
+    vec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if strided and ndim > 1:
+        vec = vec[:, np.arange(shape[1]) % 2 == 0]
+    got = apply_unitary(vec, u, qubits, n)
+    want = (_dense(u, qubits, n) @ vec.reshape(1 << n, -1)).reshape(
+        vec.shape)
+    assert got.shape == vec.shape and got.flags.c_contiguous
+    if set(np.unique(u)) <= {-1, 0, 1}:
+        assert np.array_equal(got, want)
+    else:
+        assert np.allclose(got, want, atol=1e-12)
+    for c in range(vec[0].size):  # each column alone rounds the same
+        column = vec.reshape(1 << n, -1)[:, c]
+        assert np.array_equal(apply_unitary(column, u, qubits, n),
+                              got.reshape(1 << n, -1)[:, c])
 
 
 def test_apply_gate_validation():
