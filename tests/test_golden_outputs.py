@@ -1,0 +1,72 @@
+"""Byte-stability of the pinned command outputs.
+
+``golden_outputs.json`` maps each argv below to the sha256 and byte
+length of its stdout and of its ``--out`` file. Updating it is a
+deliberate output change: run ``python tests/make_golden_outputs.py``
+and name each changed hash in the change log.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import re
+
+from latticeplan import cli
+
+MANIFEST = pathlib.Path(__file__).with_name("golden_outputs.json")
+
+# "{out}" stands for a file in a scratch directory, its suffix kept.
+ARGVS = (
+    ("verify", "all"),
+    ("verify", "all", "--json"),
+    ("schedule", "--m", "1000", "--factories", "14", "--out", "{out}.jsonl"),
+    ("schedule", "--m", "1000", "--factories", "1", "--out", "{out}.jsonl"),
+    ("schedule", "--m", "4000", "--factories", "28", "--out", "{out}.jsonl"),
+    ("schedule", "--lookup", "65536", "--out", "{out}.jsonl"),
+    ("schedule", "--m", "1000", "--lookup", "65536", "--out", "{out}.jsonl"),
+    ("layout", "--m", "1000", "--out", "{out}.svg"),
+    ("layout", "--m", "1000", "--out", "{out}.json"),
+    ("layout", "--rows", "1000", "--out", "{out}.svg"),
+    ("estimate",),
+    ("estimate", "--json"),
+)
+
+# The "max err" figures come from floating-point reductions that may
+# round differently on another CPU; their bound is acceptance criterion
+# 01, so the hash sees them masked.
+_MAX_ERR = re.compile(rb"max err [-+.0-9e]+")
+
+
+def _digest(data: bytes) -> dict:
+    return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
+
+def outputs(argv: tuple[str, ...], tmp: pathlib.Path) -> dict:
+    """Run one argv in process; the digests of its stdout and --out file."""
+    out = tmp / "out"
+    args = [a.replace("{out}", str(out)) for a in argv]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(args)
+    assert code == 0, argv
+    written = [p for p in tmp.iterdir() if p.name.startswith("out")]
+    result = {"stdout": _digest(_MAX_ERR.sub(b"max err #",
+                                             buf.getvalue().encode()))}
+    if written:
+        (path,) = written
+        result["out"] = _digest(path.read_bytes())
+        path.unlink()
+    return result
+
+
+def test_outputs_match_the_manifest(tmp_path, monkeypatch):
+    monkeypatch.delenv("LATTICEPLAN_SEED", raising=False)
+    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    assert [tuple(e["argv"]) for e in manifest] == list(ARGVS)
+    for entry in manifest:
+        got = outputs(tuple(entry["argv"]), tmp_path)
+        assert got == {k: v for k, v in entry.items() if k != "argv"}, \
+            entry["argv"]
