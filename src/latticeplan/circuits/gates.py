@@ -7,17 +7,19 @@ the state: each output sub-block is written from the nonzero entries of
 its matrix row by copies, negations, sums and scalings, with no transposed
 copy and no BLAS call, so every amplitude is the same rounded operations
 however many columns are carried along.
+
+``apply_pauli`` is the one place a Pauli string X^x Z^z is applied, given
+as bit masks over the row index: each outcome's recorded frame in the
+channel check, a branch's ``frame_x``/``frame_z`` and the boundary Paulis
+of the ZX comparison all go through it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Sequence
 
 import numpy as np
-
-from ..exceptions import CapacityError
 
 MAX_QUBITS = 16
 # Widest reversible circuit run over every basis input. Bit-sliced, 22
@@ -143,34 +145,25 @@ def apply_gate(vec: np.ndarray, name: str, qubits: Sequence[int],
     return apply_unitary(vec, u, qubits, n)
 
 
-@dataclasses.dataclass(frozen=True)
-class StateVector:
-    """Immutable n-qubit state. ``qubits`` names the tensor positions in
-    MSB-first order; amplitudes index basis states accordingly."""
+def apply_pauli(v: np.ndarray, x, z) -> np.ndarray:
+    """X^x Z^z applied to the rows of ``v``:
+    (X^x Z^z v)[i] = (-1)^popcount((i ^ x) & z) v[i ^ x].
 
-    qubits: tuple[int, ...]
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = len(self.qubits)
-        if n > MAX_QUBITS:
-            raise CapacityError(
-                f"{n} qubits exceeds the cap of {MAX_QUBITS}")
-        if self.amplitudes.shape != (1 << n,):
-            raise ValueError("amplitude length does not match qubit count")
-        self.amplitudes.setflags(write=False)
-
-    @property
-    def num_qubits(self) -> int:
-        return len(self.qubits)
-
-    def amplitude(self, bits: str) -> complex:
-        if len(bits) != self.num_qubits or set(bits) - {"0", "1"}:
-            raise ValueError(f"bad basis label {bits!r}")
-        return complex(self.amplitudes[int(bits, 2)])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    ``x`` and ``z`` are bit masks over the row index (qubit 0 is the most
+    significant bit). Scalar masks act on the first axis of ``v``; masks
+    of shape (B,) apply B strings to a (B, rows, ...) batch, string b to
+    ``v[b]``. Trailing axes are columns and are carried along.
+    """
+    x = np.asarray(x)[..., None]
+    z = np.asarray(z)[..., None]
+    axis = x.ndim - 1
+    src = np.arange(v.shape[axis]) ^ x
+    odd = src & z
+    for shift in (32, 16, 8, 4, 2, 1):
+        odd ^= odd >> shift
+    tail = (1,) * (v.ndim - axis - 1)
+    sign = (1 - 2 * (odd & 1)).reshape(src.shape + tail)
+    return sign * np.take_along_axis(v, src.reshape(src.shape + tail), axis)
 
 
 def basis_state(bits: str) -> np.ndarray:

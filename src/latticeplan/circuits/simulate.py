@@ -10,13 +10,15 @@ with the 0 outcome first, keeping the prefixes in lexicographic order.
 The walk carries a trailing column axis: with every basis input as a
 column, each live outcome string ends with the Kraus operator of that
 string, and the channel check compares it, after its Pauli frame,
-against the target unitary up to one scalar per outcome.
+against the target unitary up to one scalar per outcome. With one input
+column, ``enumerate_branches`` hands each outcome string back as a plain
+``Branch`` record of the walk's own values: its normalized amplitudes (a
+row of one read-only array) and its frame as the walk's X and Z masks.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -24,8 +26,7 @@ import numpy as np
 from ..exceptions import CapacityError, ContractError
 from .circuit import (CGate, Circuit, FrameUpdate, Gate, TRUE,
                       evaluate_condition)
-from .frame import PauliFrame, apply_pauli
-from .gates import (MAX_QUBITS, StateVector, apply_gate, basis_state,
+from .gates import (MAX_QUBITS, apply_gate, apply_pauli, basis_state,
                     kron_with_ancillas, random_state)
 
 PROB_FLOOR = 1e-12
@@ -38,24 +39,24 @@ MAX_KRAUS_VALUES = 1 << 22
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Branch:
-    """One measurement history.
+    """One measurement history, as the walk left it.
 
-    ``truncated`` marks a zero-probability prefix: the subtree below it was
-    not explored and ``final_state``/``final_frame`` are None.
+    ``amplitudes`` is the normalized, read-only final state on
+    ``surviving_qubits``, and ``frame_x``/``frame_z`` are the X and Z
+    masks of the recorded Pauli frame over them (qubit 0 the most
+    significant bit), as ``apply_pauli`` takes them. ``truncated`` marks
+    a zero-probability prefix: the subtree below it was not explored,
+    ``amplitudes`` is None and the masks are 0.
     """
 
     outcome_bits: str
     outcomes: dict[str, int]
     probability: float
     surviving_qubits: tuple[int, ...]
-    final_state: StateVector | None
-    final_frame: PauliFrame | None
+    amplitudes: np.ndarray | None
+    frame_x: int = 0
+    frame_z: int = 0
     truncated: bool = False
-
-    def unnormalized(self) -> np.ndarray:
-        if self.final_state is None:
-            raise ValueError("truncated branch has no state")
-        return math.sqrt(self.probability) * self.final_state.amplitudes
 
 
 def input_qubits_of(circuit: Circuit) -> tuple[int, ...]:
@@ -89,12 +90,13 @@ class _Walk(NamedTuple):
     """Every live outcome string of a circuit at its end, side by side in
     lexicographic order.
 
-    ``block`` is (2^s, B, C): the unnormalized outputs of the B live
-    strings on the s surviving qubits, one column per input. ``bits`` is
-    their (B, m) outcome matrix, ``x`` and ``z`` are the (B,) X and Z
-    masks of their recorded frames over the surviving qubits (qubit 0 the
-    most significant bit), and ``stubs`` holds the outcome strings of the
-    zero-norm prefixes whose subtrees were not explored.
+    ``block`` is (2^s, B, C): the outputs of the B live strings on the s
+    surviving qubits, one column per input, each still weighted by its
+    outcome's amplitude. ``bits`` is their (B, m) outcome matrix, ``x``
+    and ``z`` are the (B,) X and Z masks of their recorded frames over the
+    surviving qubits (qubit 0 the most significant bit), and ``stubs``
+    holds the outcome strings of the zero-norm prefixes whose subtrees
+    were not explored.
     """
 
     bits: np.ndarray
@@ -201,28 +203,27 @@ def enumerate_branches(circuit: Circuit,
     walk = _walk(circuit, initial_vector(circuit, input_state)[:, None])
     survivors = circuit.surviving_qubits
     keys = circuit.measurement_keys
-    shifts = np.arange(len(survivors) - 1, -1, -1)
-    frame_bits = [((m[:, None] >> shifts) & 1).tolist()
-                  for m in (walk.x, walk.z)]
+    amps = np.ascontiguousarray(walk.block[:, :, 0].T)
+    parts = amps.view(np.float64)  # real and imaginary parts
+    probs = np.einsum("br,br->b", parts, parts)
+    amps /= np.sqrt(probs)[:, None]
+    amps.setflags(write=False)
+    p, frame_x, frame_z = probs.tolist(), walk.x.tolist(), walk.z.tolist()
+    outcomes = walk.bits.astype(np.int64).tolist()
     # a stub has no descendants, so sorting on the bits interleaves the
     # stubs as a depth-first walk would
     rows = sorted([(b, r) for r, b in enumerate(_bit_strings(walk.bits))]
                   + [(b, -1) for b in walk.stubs])
     branches: list[Branch] = []
     for bits, r in rows:
-        # outcome bits follow the measurement order, a stub's a prefix
-        outcomes = dict(zip(keys, map(int, bits)))
         if r < 0:
-            branches.append(Branch(bits, outcomes, 0.0, survivors,
-                                   None, None, truncated=True))
-            continue
-        amps = walk.block[:, r, 0]
-        p = float(np.vdot(amps, amps).real)
-        frame = PauliFrame(survivors, tuple(frame_bits[0][r]),
-                           tuple(frame_bits[1][r]))
-        branches.append(Branch(bits, outcomes, p, survivors,
-                               StateVector(survivors, amps / math.sqrt(p)),
-                               frame))
+            # a stub's bits are a prefix of the measurement order
+            branches.append(Branch(bits, dict(zip(keys, map(int, bits))),
+                                   0.0, survivors, None, truncated=True))
+        else:
+            branches.append(Branch(bits, dict(zip(keys, outcomes[r])), p[r],
+                                   survivors, amps[r], frame_x[r],
+                                   frame_z[r]))
     return branches
 
 

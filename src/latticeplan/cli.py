@@ -125,6 +125,16 @@ def _load_setup(args) -> tuple[PhysicalAssumptions, FactorySpec, bool]:
     return assumptions, FactorySpec(**spec_kwargs), bool(spec_kwargs)
 
 
+def _adder_bits(name: str) -> int | None:
+    """N of a canonical "adder-N" name (ASCII digits, no leading zero),
+    else None; ``int`` alone would also take signs, spaces, underscores
+    and non-ASCII digits."""
+    suffix = name[len("adder-"):] if name.startswith("adder-") else ""
+    if suffix.isascii() and suffix.isdigit() and str(int(suffix)) == suffix:
+        return int(suffix)
+    return None
+
+
 def _cmd_verify(args) -> int:
     seed = int(os.environ.get("LATTICEPLAN_SEED", DEFAULT_SEED))
     names = list(args.names)
@@ -140,13 +150,7 @@ def _cmd_verify(args) -> int:
             results.append((name, report.ok,
                             f"{report.branches_checked} branches, "
                             f"max err {report.max_amplitude_error:.1e}"))
-        elif name.startswith("adder-"):
-            try:
-                bits = int(name.split("-", 1)[1])
-            except ValueError:
-                print(f"error: unknown construction {name!r}",
-                      file=sys.stderr)
-                return 2
+        elif (bits := _adder_bits(name)) is not None:
             ok, msg = constructions.verify_adder(bits)
             results.append((name, ok, msg))
         else:
@@ -218,7 +222,7 @@ def _cmd_schedule(args) -> int:
         print("error: schedule needs --m and/or --lookup", file=sys.stderr)
         return 2
     if args.m is not None and args.lookup is not None:
-        lookup = scheduler.LookupSpec(entries=args.lookup, output_bits=args.m,
+        lookup = scheduler.LookupSpec(entries=args.lookup,
                                       access_sides=args.sides)
         trace = scheduler.phase_timeline(lookup, args.m, spec, assumptions, n)
         makespan = trace.makespan_ns
@@ -232,7 +236,7 @@ def _cmd_schedule(args) -> int:
             dur = trace.summary["durations_ns"][phase]
             lines.append(f"{phase + ':':<15} {format_ms(dur)}")
     elif args.lookup is not None:
-        lookup = scheduler.LookupSpec(entries=args.lookup, output_bits=1,
+        lookup = scheduler.LookupSpec(entries=args.lookup,
                                       access_sides=args.sides)
         # the summary comes from the closed form; events only for --out
         pace = scheduler.lookup_pace(lookup, spec, assumptions, n)

@@ -21,7 +21,6 @@ import dataclasses
 import heapq
 import io
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,14 +38,6 @@ EVENT_KINDS = ("state_ready", "consume", "reaction_decision",
 # events, adds its DAG arrays (about 40 bytes per node): `schedule --m
 # 699052 --out` peaks at 292 MB.
 MAX_TRACE_EVENTS = 1 << 22
-
-
-class Event(NamedTuple):
-    """One row of a trace, as iteration over `EventTable` yields it."""
-
-    t_ns: int
-    kind: str
-    payload: dict
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,16 +85,6 @@ class EventTable:
 
     def __len__(self) -> int:
         return len(self.order)
-
-    def __iter__(self):
-        rows = []
-        for b in self.blocks:
-            names = list(b.columns)
-            values = zip(b.t_ns.tolist(),
-                         *(b.columns[n].tolist() for n in names))
-            rows += [Event(t, b.kind, dict(zip(names, payload)))
-                     for t, *payload in values]
-        return (rows[i] for i in self.order.tolist())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -335,15 +316,12 @@ def cnot_access_rate(d: int, assumptions: PhysicalAssumptions,
 @dataclasses.dataclass(frozen=True)
 class LookupSpec:
     entries: int
-    output_bits: int
     access_sides: int = 2
     toffoli_count: int | None = None
 
     def __post_init__(self) -> None:
         if self.entries < 2:
             raise ValueError("lookup needs at least 2 entries")
-        if self.output_bits < 1:
-            raise ValueError("output_bits must be positive")
         if self.access_sides not in (1, 2):
             raise ValueError("access_sides must be 1 or 2")
         if self.toffoli_count is None:

@@ -3,14 +3,19 @@
 Nodes are z/x spiders (phase in multiples of pi/4), Hadamard markers,
 boundary terminals, and unresolved choice stubs. A choice stub models a
 measurement whose basis has not been picked yet: plugging it x-colored
-(an unnormalized |0>) activates the branch it guards, z-colored (<+|)
+(|0> up to a scalar) activates the branch it guards, z-colored (<+|)
 removes it. Evaluation contracts the diagram to the matrix it denotes,
 inputs to outputs; comparisons are up to boundary Paulis and a scalar,
 matching what Pauli-frame corrections can absorb.
 
+This module holds what ``verify --zx`` runs: reading a fixture document,
+evaluating it and comparing with its targets. The hand-drawn diagrams of
+the constructions and the circuit-to-diagram translator live in the
+tests (tests/test_zx.py), their only user.
+
 The Hadamard and the CZ and CCZ targets are the matrices of
 ``circuits.gates.GATES``, and the boundary Paulis are applied by
-``circuits.frame.apply_pauli``, the same code the statevector checks use.
+``circuits.gates.apply_pauli``, the same code the statevector checks use.
 """
 
 from __future__ import annotations
@@ -23,10 +28,7 @@ import math
 
 import numpy as np
 
-from .circuits.circuit import (CGate, Circuit, FrameUpdate, Gate, Measure,
-                               evaluate_condition)
-from .circuits.frame import apply_pauli
-from .circuits.gates import GATES
+from .circuits.gates import GATES, apply_pauli
 from .circuits.simulate import MAX_KRAUS_VALUES
 from .exceptions import CapacityError
 
@@ -256,17 +258,6 @@ def equiv_mod_pauli_scalar(actual: np.ndarray, expected: np.ndarray
     return False
 
 
-def graph_to_json(graph: ZxGraph) -> str:
-    doc = {
-        "nodes": [{"id": nid, "kind": node.kind, "phase": node.phase}
-                  for nid, node in sorted(graph.nodes.items())],
-        "edges": sorted(tuple(sorted(e)) for e in graph.edges),
-        "inputs": list(graph.inputs),
-        "outputs": list(graph.outputs),
-    }
-    return json.dumps(doc, sort_keys=True, indent=1)
-
-
 def graph_from_json(text: str) -> ZxGraph:
     doc = json.loads(text)
     g = ZxGraph()
@@ -277,159 +268,6 @@ def graph_from_json(text: str) -> ZxGraph:
         g.add_edge(int(a), int(b))
     g.inputs = [int(x) for x in doc["inputs"]]
     g.outputs = [int(x) for x in doc["outputs"]]
-    g.validate()
-    return g
-
-
-def delayed_choice_cz_graph() -> ZxGraph:
-    """Hand-drawn diagram of the delayed-choice CZ: each data wire carries
-    a z spider hooked through an x spider to one branch pair half; the two
-    halves share a Hadamard edge. The two stubs pick the bases."""
-    g = ZxGraph()
-    in0 = g.add_node("b")
-    in1 = g.add_node("b")
-    out0 = g.add_node("b")
-    out1 = g.add_node("b")
-    z0 = g.add_node("z")
-    z1 = g.add_node("z")
-    x2 = g.add_node("x")
-    x3 = g.add_node("x")
-    s2 = g.add_node("z")
-    s3 = g.add_node("z")
-    h = g.add_node("h")
-    ch2 = g.add_node("choice")
-    ch3 = g.add_node("choice")
-    g.add_edge(in0, z0)
-    g.add_edge(z0, out0)
-    g.add_edge(in1, z1)
-    g.add_edge(z1, out1)
-    g.add_edge(z0, x2)
-    g.add_edge(z1, x3)
-    g.add_edge(x2, s2)
-    g.add_edge(x3, s3)
-    g.add_edge(s2, h)
-    g.add_edge(h, s3)
-    g.add_edge(x2, ch2)
-    g.add_edge(x3, ch3)
-    g.inputs = [in0, in1]
-    g.outputs = [out0, out1]
-    g.validate()
-    return g
-
-
-def ring_resource_graph() -> ZxGraph:
-    """The nine-node ring resource as a state diagram: a cycle of spiders
-    joined by Hadamard edges, with the three anchor nodes also carrying
-    the phase-gadget encoding of a CCZ."""
-    g = ZxGraph()
-    outs = [g.add_node("b") for _ in range(9)]
-    ring = [g.add_node("z") for _ in range(9)]
-    for i in range(9):
-        g.add_edge(ring[i], outs[i])
-        h = g.add_node("h")
-        g.add_edge(ring[i], h)
-        g.add_edge(h, ring[(i + 1) % 9])
-    anchors = [ring[0], ring[3], ring[6]]
-    _attach_ccz_gadgets(g, anchors)
-    g.outputs = list(outs)
-    g.validate()
-    return g
-
-
-def _attach_ccz_gadgets(g: ZxGraph, wires: list[int]) -> None:
-    """Phase-gadget CCZ across three z spiders: pi/4 on each wire, -pi/4
-    on each pairwise parity, pi/4 on the triple parity."""
-    a, b, c = wires
-    for w in wires:
-        g.nodes[w].phase = (g.nodes[w].phase + 1) % 8
-    for group, phase in (((a, b), 7), ((a, c), 7), ((b, c), 7),
-                         ((a, b, c), 1)):
-        hub = g.add_node("x")
-        tip = g.add_node("z", phase)
-        g.add_edge(hub, tip)
-        for w in group:
-            g.add_edge(hub, w)
-
-
-def zx_from_circuit(circuit: Circuit, outcomes: dict[str, int]) -> ZxGraph:
-    """Translate an adaptive circuit, with all measurement outcomes fixed,
-    into a ZX diagram. With its frame updates the diagram denotes the
-    construction's target exactly (mod scalar); a circuit stripped of them
-    denotes it mod Pauli.
-    """
-    g = ZxGraph()
-    end: dict[int, int] = {}
-    inits = circuit.initial_states or ("0",) * circuit.num_qubits
-    for q, s in enumerate(inits):
-        if s == "?":
-            nid = g.add_node("b")
-            g.inputs.append(nid)
-        elif s == "+":
-            nid = g.add_node("z")
-        elif s == "0":
-            nid = g.add_node("x")
-        else:
-            nid = g.add_node("x", 4)
-        end[q] = nid
-
-    def extend(q: int, kind: str, phase: int = 0) -> int:
-        nid = g.add_node(kind, phase)
-        g.add_edge(end[q], nid)
-        end[q] = nid
-        return nid
-
-    def apply_gate_nodes(name: str, qs: tuple[int, ...]) -> None:
-        if name == "H":
-            extend(qs[0], "h")
-        elif name == "X":
-            extend(qs[0], "x", 4)
-        elif name == "Z":
-            extend(qs[0], "z", 4)
-        elif name == "S":
-            extend(qs[0], "z", 2)
-        elif name == "T":
-            extend(qs[0], "z", 1)
-        elif name == "CX":
-            c = extend(qs[0], "z")
-            t = extend(qs[1], "x")
-            g.add_edge(c, t)
-        elif name == "CZ":
-            a = extend(qs[0], "z")
-            b = extend(qs[1], "z")
-            h = g.add_node("h")
-            g.add_edge(a, h)
-            g.add_edge(h, b)
-        elif name == "CCZ":
-            spiders = [extend(q, "z") for q in qs]
-            _attach_ccz_gadgets(g, spiders)
-        elif name == "SWAP":
-            end[qs[0]], end[qs[1]] = end[qs[1]], end[qs[0]]
-        else:
-            raise ValueError(f"gate {name} has no translation")
-
-    for op in circuit.operations:
-        if isinstance(op, Gate):
-            apply_gate_nodes(op.name, op.qubits)
-        elif isinstance(op, CGate):
-            if evaluate_condition(op.condition, outcomes):
-                apply_gate_nodes(op.name, op.qubits)
-        elif isinstance(op, Measure):
-            m = outcomes[op.key]
-            basis = op.basis
-            if evaluate_condition(op.flip_basis_if, outcomes):
-                basis = "x" if basis == "z" else "z"
-            # A z-basis plug is an x spider <m| (phase m*pi); an x-basis
-            # plug is a z spider <+|/<-|.
-            extend(op.qubit, "x" if basis == "z" else "z", 4 * m)
-            del end[op.qubit]
-        else:
-            if evaluate_condition(op.condition, outcomes):
-                extend(op.qubit, "x" if op.pauli == "X" else "z", 4)
-
-    for q in sorted(end):
-        nid = g.add_node("b")
-        g.add_edge(end[q], nid)
-        g.outputs.append(nid)
     g.validate()
     return g
 

@@ -8,9 +8,11 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # Imports the benchmark's modules and patches every boundary it traces.
-# No workload is built: that would write under the repo's .bench_out/.
+# No workload is built: that would write under the repo's .bench_out/;
+# and no bytecode is written into bench/.
 SCRIPT = """
 import sys
+sys.dont_write_bytecode = True
 sys.path[:0] = [{src!r}, {bench!r}]
 import checks, tracing, workloads
 from latticeplan.circuits import enumerate_branches, run_reversible_table

@@ -15,8 +15,7 @@ from latticeplan.circuits import (CGate, Circuit, FrameUpdate, Gate, Measure,
                                   evaluate_condition, parse_condition,
                                   random_state)
 from latticeplan.circuits import simulate
-from latticeplan.circuits.frame import apply_pauli
-from latticeplan.circuits.gates import GATE_ARITY
+from latticeplan.circuits.gates import GATE_ARITY, apply_pauli
 from latticeplan.circuits.simulate import (ATOL, PROB_FLOOR, ChannelReport,
                                            _bit_strings, _walk, basis_inputs,
                                            initial_vector, input_qubits_of,
@@ -57,10 +56,8 @@ def test_zero_probability_branch_is_truncated_stub():
     assert np.isclose(live.probability, 1.0)
     assert stub.truncated
     assert stub.probability == 0.0
-    assert stub.final_state is None
-    assert stub.final_frame is None
-    with pytest.raises(ValueError):
-        stub.unnormalized()
+    assert stub.amplitudes is None
+    assert (stub.frame_x, stub.frame_z) == (0, 0)
 
 
 def test_lexicographic_depth_first_order():
@@ -78,8 +75,8 @@ def test_measured_qubits_removed_from_state():
                 initial_states=("0", "0", "0"))
     for b in enumerate_branches(c):
         assert b.surviving_qubits == (0, 2)
-        assert b.final_state.qubits == (0, 2)
-        assert b.final_state.amplitudes.shape == (4,)
+        assert b.amplitudes.shape == (4,)
+        assert not b.amplitudes.flags.writeable
 
 
 def test_probabilities_sum_to_one():
@@ -103,8 +100,7 @@ def test_determinism_bit_for_bit():
     for x, y in zip(first, second):
         assert x.probability == y.probability
         if not x.truncated:
-            assert np.array_equal(x.final_state.amplitudes,
-                                  y.final_state.amplitudes)
+            assert np.array_equal(x.amplitudes, y.amplitudes)
 
 
 def test_x_basis_measurement():
@@ -140,7 +136,7 @@ def test_conditional_gate_on_outcome():
     c = Circuit(num_qubits=2, operations=ops, initial_states=("0", "0"))
     for b in enumerate_branches(c):
         want = "1" if b.outcomes["m"] else "0"
-        assert np.isclose(abs(b.final_state.amplitude(want)), 1.0)
+        assert np.isclose(abs(b.amplitudes[int(want, 2)]), 1.0)
 
 
 def test_anf_condition_with_and_terms():
@@ -152,7 +148,7 @@ def test_anf_condition_with_and_terms():
     for b in enumerate_branches(c):
         o = b.outcomes
         want = (o["a"] & o["b"]) ^ o["c"]
-        assert np.isclose(abs(b.final_state.amplitude(str(want))), 1.0)
+        assert np.isclose(abs(b.amplitudes[want]), 1.0)
 
 
 def test_frame_updates_accumulate_on_final_frame():
@@ -161,9 +157,9 @@ def test_frame_updates_accumulate_on_final_frame():
            FrameUpdate(1, "Z", TRUE))
     c = Circuit(num_qubits=2, operations=ops, initial_states=("0", "0"))
     by_m = {b.outcomes["m"]: b for b in enumerate_branches(c)}
-    f0, f1 = by_m[0].final_frame, by_m[1].final_frame
-    assert f0.x_bits == (0,) and f0.z_bits == (1,)
-    assert f1.x_bits == (1,) and f1.z_bits == (1,)
+    # one surviving qubit: each mask is that qubit's bit
+    assert (by_m[0].frame_x, by_m[0].frame_z) == (0, 1)
+    assert (by_m[1].frame_x, by_m[1].frame_z) == (1, 1)
 
 
 def test_frame_update_on_measured_qubit_rejected():
@@ -193,10 +189,14 @@ def test_frame_update_on_qubit_measured_later():
 
 
 def test_unnormalized_is_sqrt_p_times_state():
-    branches = enumerate_branches(_plus_measure())
-    for b in branches:
-        assert np.allclose(b.unnormalized(),
-                           np.sqrt(b.probability) * b.final_state.amplitudes)
+    # the walk's unnormalized output of each branch is sqrt(p) times the
+    # branch's normalized amplitudes
+    c = _plus_measure()
+    walk = _walk(c, initial_vector(c, None)[:, None])
+    for r, b in enumerate(enumerate_branches(c)):
+        assert np.allclose(walk.block[:, r, 0],
+                           np.sqrt(b.probability) * b.amplitudes)
+        assert np.isclose(np.linalg.norm(b.amplitudes), 1.0)
 
 
 def test_input_qubits_require_input_state():
@@ -205,7 +205,7 @@ def test_input_qubits_require_input_state():
     with pytest.raises(ValueError):
         enumerate_branches(c)
     out = enumerate_branches(c, basis_state("0"))
-    assert np.isclose(abs(out[0].final_state.amplitude("1")), 1.0)
+    assert np.isclose(abs(out[0].amplitudes[1]), 1.0)
 
 
 def test_capacity_guardrail():
@@ -316,7 +316,8 @@ def test_kraus_operators_match_branches(circuit, seed):
         p = np.vdot(v, v).real
         assert np.isclose(p, branch.probability, atol=1e-9)
         if p > 1e-6:
-            want = branch.final_frame.apply(branch.final_state.amplitudes)
+            want = apply_pauli(branch.amplitudes, branch.frame_x,
+                               branch.frame_z)
             assert np.allclose(v / np.sqrt(p), want, atol=1e-7)
     # outcome strings live only in the batch weigh nothing for psi
     assert all(np.vdot(v, v).real < 1e-9 for v in out.values())

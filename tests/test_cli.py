@@ -111,10 +111,16 @@ def test_verify_subset(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
-def test_verify_unknown_name(capsys):
-    code, _, err = run(capsys, "verify", "teleport")
+# int() reads adder-1_0 as 10 and the next four as 3; only a canonical
+# adder-N names an adder
+@pytest.mark.parametrize("name", ["teleport", "adder-1_0", "adder-+3",
+                                  "adder- 3", "adder-03", "adder-\u0663",
+                                  "adder-"])
+def test_verify_unknown_name(capsys, name):
+    code, out, err = run(capsys, "verify", name)
     assert code == 2
-    assert "unknown construction" in err
+    assert out == ""
+    assert err == f"error: unknown construction {name!r}\n"
 
 
 @pytest.mark.parametrize("name,qubits", [("adder-13", 26), ("adder-20", 40)])

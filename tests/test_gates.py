@@ -4,13 +4,16 @@ Convention under test: qubit 0 is the most significant bit of the basis
 index.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticeplan.circuits import (GATES, MAX_QUBITS, StateVector, apply_gate,
-                                  apply_unitary, basis_state,
+from latticeplan.circuits import (GATES, MAX_QUBITS, Circuit, Measure,
+                                  apply_gate, apply_unitary, basis_state,
+                                  check_channel, enumerate_branches,
                                   kron_with_ancillas, plus_state,
                                   random_state)
 from latticeplan.circuits.gates import GATE_ARITY
@@ -209,17 +212,24 @@ def test_random_state_normalized_and_seeded():
     assert np.array_equal(a, b)
 
 
-def test_statevector_accessors():
-    sv = StateVector((0, 2), basis_state("01"))
-    assert sv.num_qubits == 2
-    assert sv.amplitude("01") == 1
-    assert np.isclose(sv.norm(), 1.0)
-
-
 def test_statevector_capacity_guardrail():
+    # both walk entries refuse a register over MAX_QUBITS before its
+    # 2^17-amplitude (2 MiB) vector is allocated
     n = MAX_QUBITS + 1
-    with pytest.raises(CapacityError):
-        StateVector(tuple(range(n)), np.zeros(1 << n, dtype=complex))
+    c = Circuit(n, tuple(Measure(q, f"m{q}") for q in range(1, n)),
+                ("?",) + ("0",) * (n - 1))
+    tracemalloc.start()
+    try:
+        for run in (lambda: enumerate_branches(c, basis_state("0")),
+                    lambda: check_channel(c, np.eye(2))):
+            with pytest.raises(CapacityError,
+                               match=f"{n} qubits exceeds the cap of "
+                                     f"{MAX_QUBITS}"):
+                run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_kron_with_ancillas_places_data():

@@ -107,8 +107,7 @@ def test_agrees_with_statevector(seed):
         bits = format(i, f"0{n}b")
         branches = enumerate_branches(c, basis_state(bits))
         assert len(branches) == 1
-        out = format(table[i], f"0{n}b")
-        assert np.isclose(abs(branches[0].final_state.amplitude(out)), 1.0)
+        assert np.isclose(abs(branches[0].amplitudes[table[i]]), 1.0)
 
 
 def test_non_classical_rejected():

@@ -35,6 +35,11 @@ def _chain_oracle(nodes, depth_ns, reaction_ns, n):
     return decision
 
 
+def _events(trace):
+    """The trace's events in order, each the dict of its JSONL line."""
+    return [json.loads(line) for line in S.export_jsonl(trace).splitlines()]
+
+
 # ---------------------------------------------------------------- dag
 
 
@@ -166,15 +171,16 @@ def test_single_node_makespan():
 
 @pytest.mark.parametrize("n", [1, 2, 14, 135])
 def test_chain_causality(n):
-    trace = S.simulate_reaction_limited(S.build_adder_dag(40), SPEC, BASE, n)
-    ready = {e.payload["state"]: e.t_ns for e in trace.events
-             if e.kind == "state_ready"}
-    consume = {e.payload["state"]: e.t_ns for e in trace.events
-               if e.kind == "consume"}
+    events = _events(S.simulate_reaction_limited(S.build_adder_dag(40), SPEC,
+                                                 BASE, n))
+    ready = {e["state"]: e["t_ns"] for e in events
+             if e["kind"] == "state_ready"}
+    consume = {e["state"]: e["t_ns"] for e in events
+               if e["kind"] == "consume"}
     for state, t in consume.items():
         assert t >= ready[state]
-    decisions = sorted(e.t_ns for e in trace.events
-                       if e.kind == "reaction_decision")
+    decisions = sorted(e["t_ns"] for e in events
+                       if e["kind"] == "reaction_decision")
     gaps = [b - a for a, b in zip(decisions, decisions[1:])]
     assert all(g >= 10000 for g in gaps)
 
@@ -182,24 +188,24 @@ def test_chain_causality(n):
 def test_chain_supply_conservation():
     trace = S.simulate_reaction_limited(S.build_adder_dag(40), SPEC, BASE, 3)
     produced = consumed = 0
-    for e in trace.events:
-        if e.kind == "state_ready":
+    for e in _events(trace):
+        if e["kind"] == "state_ready":
             produced += 1
-        elif e.kind == "consume":
+        elif e["kind"] == "consume":
             consumed += 1
             assert consumed <= produced
 
 
 def test_chain_steady_state_gaps():
     fed = S.simulate_reaction_limited(S.build_adder_dag(100), SPEC, BASE, 14)
-    decisions = sorted(e.t_ns for e in fed.events
-                       if e.kind == "reaction_decision")
+    decisions = sorted(e["t_ns"] for e in _events(fed)
+                       if e["kind"] == "reaction_decision")
     assert {b - a for a, b in zip(decisions, decisions[1:])} == {10000}
 
     starved = S.simulate_reaction_limited(S.build_adder_dag(100), SPEC,
                                           BASE, 1)
-    decisions = sorted(e.t_ns for e in starved.events
-                       if e.kind == "reaction_decision")
+    decisions = sorted(e["t_ns"] for e in _events(starved)
+                       if e["kind"] == "reaction_decision")
     assert {b - a for a, b in zip(decisions, decisions[1:])} == {135000}
 
 
@@ -211,7 +217,7 @@ def test_chain_utilization_bounded(n):
 
 def test_events_sorted():
     trace = S.simulate_reaction_limited(S.build_adder_dag(30), SPEC, BASE, 4)
-    times = [e.t_ns for e in trace.events]
+    times = [e["t_ns"] for e in _events(trace)]
     assert times == sorted(times)
 
 
@@ -254,7 +260,7 @@ def test_cnot_access_rate_validation(d, sides):
 
 
 def test_lookup_binding_access():
-    trace = S.simulate_lookup(S.LookupSpec(1024, 32), SPEC, BASE, 14)
+    trace = S.simulate_lookup(S.LookupSpec(1024), SPEC, BASE, 14)
     assert trace.summary["binding"] == "access"
     assert trace.summary["period_ns"] == 13500
     assert trace.summary["access_window_ns"] == 13500
@@ -263,58 +269,57 @@ def test_lookup_binding_access():
 
 def test_lookup_binding_reaction():
     slow = PhysicalAssumptions(reaction_time_us=100)
-    trace = S.simulate_lookup(S.LookupSpec(1024, 32), SPEC, slow, 14)
+    trace = S.simulate_lookup(S.LookupSpec(1024), SPEC, slow, 14)
     assert trace.summary["binding"] == "reaction"
     assert trace.summary["period_ns"] == 100000
 
 
 def test_lookup_binding_supply():
-    trace = S.simulate_lookup(S.LookupSpec(1024, 32), SPEC, BASE, 1)
+    trace = S.simulate_lookup(S.LookupSpec(1024), SPEC, BASE, 1)
     assert trace.summary["binding"] == "supply"
     assert trace.summary["period_ns"] == 135000
 
 
 def test_lookup_single_sided_window():
-    trace = S.simulate_lookup(S.LookupSpec(16, 8, access_sides=1), SPEC,
+    trace = S.simulate_lookup(S.LookupSpec(16, access_sides=1), SPEC,
                               BASE, 14)
     assert trace.summary["access_window_ns"] == 27000
     assert trace.summary["period_ns"] == 27000
 
 
 def test_lookup_makespan_closed_form():
-    trace = S.simulate_lookup(S.LookupSpec(8, 8), SPEC, BASE, 14)
+    trace = S.simulate_lookup(S.LookupSpec(8), SPEC, BASE, 14)
     # 7 steps: first at the factory depth, then one period each, plus the
     # final reaction
     assert trace.makespan_ns == 135000 + 6 * 13500 + 10000 == 226000
 
 
 def test_lookup_corridor_alternation():
-    trace = S.simulate_lookup(S.LookupSpec(8, 8), SPEC, BASE, 14)
-    corridors = [e.payload["corridor"] for e in trace.events
-                 if e.kind == "cnot_window"]
+    trace = S.simulate_lookup(S.LookupSpec(8), SPEC, BASE, 14)
+    corridors = [e["corridor"] for e in _events(trace)
+                 if e["kind"] == "cnot_window"]
     assert corridors == ["left", "right"] * 3 + ["left"]
 
-    one_side = S.simulate_lookup(S.LookupSpec(8, 8, access_sides=1), SPEC,
+    one_side = S.simulate_lookup(S.LookupSpec(8, access_sides=1), SPEC,
                                  BASE, 14)
-    corridors = [e.payload["corridor"] for e in one_side.events
-                 if e.kind == "cnot_window"]
+    corridors = [e["corridor"] for e in _events(one_side)
+                 if e["kind"] == "cnot_window"]
     assert corridors == ["left"] * 7
 
 
 def test_lookup_toffoli_count_default_and_override():
-    assert S.LookupSpec(1024, 32).toffoli_count == 1023
-    assert S.LookupSpec(1024, 32, toffoli_count=40).toffoli_count == 40
-    trace = S.simulate_lookup(S.LookupSpec(8, 8, toffoli_count=3), SPEC,
+    assert S.LookupSpec(1024).toffoli_count == 1023
+    assert S.LookupSpec(1024, toffoli_count=40).toffoli_count == 40
+    trace = S.simulate_lookup(S.LookupSpec(8, toffoli_count=3), SPEC,
                               BASE, 14)
     assert trace.summary["toffoli_count"] == 3
-    assert len([e for e in trace.events if e.kind == "consume"]) == 3
+    assert len([e for e in _events(trace) if e["kind"] == "consume"]) == 3
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"entries": 1, "output_bits": 8},
-    {"entries": 8, "output_bits": 0},
-    {"entries": 8, "output_bits": 8, "access_sides": 3},
-    {"entries": 8, "output_bits": 8, "toffoli_count": 0},
+    {"entries": 1},
+    {"entries": 8, "access_sides": 3},
+    {"entries": 8, "toffoli_count": 0},
 ])
 def test_lookup_spec_validation(kwargs):
     with pytest.raises(ValueError):
@@ -325,20 +330,20 @@ def test_lookup_spec_validation(kwargs):
 
 
 def test_phase_timeline_accounting():
-    trace = S.phase_timeline(S.LookupSpec(1024, 32), 1000, SPEC, BASE, 14)
-    phases = [e.payload["phase"] for e in trace.events]
+    trace = S.phase_timeline(S.LookupSpec(1024), 1000, SPEC, BASE, 14)
+    phases = [e["phase"] for e in _events(trace)]
     assert phases == list(S.PHASES)
     durations = trace.summary["durations_ns"]
     assert sum(durations.values()) == trace.makespan_ns
     # boundaries are cumulative sums of the durations
     t = 0
-    for e in trace.events:
-        t += durations[e.payload["phase"]]
-        assert e.t_ns == t
+    for e in _events(trace):
+        t += durations[e["phase"]]
+        assert e["t_ns"] == t
 
 
 def test_phase_timeline_toffoli_budget():
-    trace = S.phase_timeline(S.LookupSpec(1024, 32), 1000, SPEC, BASE, 14)
+    trace = S.phase_timeline(S.LookupSpec(1024), 1000, SPEC, BASE, 14)
     toffolis = trace.summary["toffolis"]
     assert toffolis == {"spread": 0, "lookup": 1023, "add_up": 999,
                         "add_down": 998, "uncompute": 0}
@@ -346,7 +351,7 @@ def test_phase_timeline_toffoli_budget():
 
 
 def test_phase_timeline_window_phases():
-    trace = S.phase_timeline(S.LookupSpec(16, 8), 4, SPEC, BASE, 14)
+    trace = S.phase_timeline(S.LookupSpec(16), 4, SPEC, BASE, 14)
     durations = trace.summary["durations_ns"]
     # spread and uncompute are one d2 window each, no states consumed
     assert durations["spread"] == durations["uncompute"] == 27000
@@ -357,13 +362,13 @@ def test_phase_timeline_window_phases():
 
 def test_export_jsonl_deterministic_and_parseable():
     def run():
-        return S.export_jsonl(S.simulate_lookup(S.LookupSpec(8, 8), SPEC,
+        return S.export_jsonl(S.simulate_lookup(S.LookupSpec(8), SPEC,
                                                 BASE, 14))
     first, second = run(), run()
     assert first == second
     assert first.endswith("\n")
     lines = first.splitlines()
-    trace = S.simulate_lookup(S.LookupSpec(8, 8), SPEC, BASE, 14)
+    trace = S.simulate_lookup(S.LookupSpec(8), SPEC, BASE, 14)
     assert len(lines) == len(trace.events)
     for line in lines:
         record = json.loads(line)
@@ -501,7 +506,7 @@ def _lookup_run(case):
     spec = FactorySpec(d2=case["d2"])
     assumptions = PhysicalAssumptions(
         reaction_time_us=Fraction(case["reaction"], 1000))
-    lookup = S.LookupSpec(case["entries"], 1, access_sides=case["sides"])
+    lookup = S.LookupSpec(case["entries"], access_sides=case["sides"])
     trace = S.simulate_lookup(lookup, spec, assumptions, case["factories"])
     ref = _ref_lookup(case["entries"], case["sides"], case["d2"],
                       5000 * case["d2"], case["reaction"], case["factories"])
@@ -518,13 +523,12 @@ def test_lookup_matches_reference(case):
     assert S.export_jsonl(trace) == _ref_export(events)
     assert (trace.makespan_ns, trace.summary) == (makespan, summary)
     assert len(trace.events) == len(events)
-    for row, ref in zip(trace.events, events):
-        assert tuple(row) == ref
-    ready = {e.payload["state"]: e.t_ns for e in trace.events
-             if e.kind == "state_ready"}
-    for e in trace.events:
-        if e.kind == "consume":
-            assert e.t_ns >= ready[e.payload["state"]]
+    rows = _events(trace)
+    ready = {e["state"]: e["t_ns"] for e in rows
+             if e["kind"] == "state_ready"}
+    for e in rows:
+        if e["kind"] == "consume":
+            assert e["t_ns"] >= ready[e["state"]]
 
 
 def test_lookup_reference_cases_bind_on_each_pace():
@@ -558,13 +562,13 @@ def test_reaction_limited_matches_reference(case, factories, reaction):
     assert (trace.makespan_ns, trace.summary) == (makespan, summary)
 
     ready, consume, decision = {}, {}, {}
-    for e in trace.events:
-        if e.kind == "state_ready":
-            ready[e.payload["state"]] = e.t_ns
-        elif e.kind == "consume":
-            consume[e.payload["node"]] = (e.t_ns, e.payload["state"])
+    for e in _events(trace):
+        if e["kind"] == "state_ready":
+            ready[e["state"]] = e["t_ns"]
+        elif e["kind"] == "consume":
+            consume[e["node"]] = (e["t_ns"], e["state"])
         else:
-            decision[e.payload["node"]] = e.t_ns
+            decision[e["node"]] = e["t_ns"]
     for node, (t, state) in consume.items():
         assert t >= ready[state]
         assert all(t >= decision[p] for p in dag.predecessors(node))
@@ -656,7 +660,7 @@ def test_phase_timeline_matches_reference(case, bits):
     spec = FactorySpec(d2=case["d2"])
     assumptions = PhysicalAssumptions(
         reaction_time_us=Fraction(case["reaction"], 1000))
-    lookup = S.LookupSpec(case["entries"], 1, access_sides=case["sides"])
+    lookup = S.LookupSpec(case["entries"], access_sides=case["sides"])
     trace = S.phase_timeline(lookup, bits, spec, assumptions,
                              case["factories"])
     durations = trace.summary["durations_ns"]
@@ -690,7 +694,7 @@ def test_trace_cap_raises_before_allocating(entries):
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="exceeds the cap"):
-            S.simulate_lookup(S.LookupSpec(entries, 1), SPEC, BASE, 14)
+            S.simulate_lookup(S.LookupSpec(entries), SPEC, BASE, 14)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -709,22 +713,22 @@ def test_adder_trace_cap(monkeypatch):
 def test_event_times_past_int64_rejected():
     slow = PhysicalAssumptions(cycle_time_us=10 ** 15)
     with pytest.raises(CapacityError, match="int64"):
-        S.simulate_lookup(S.LookupSpec(8, 1), SPEC, slow, 1)
+        S.simulate_lookup(S.LookupSpec(8), SPEC, slow, 1)
     with pytest.raises(CapacityError, match="int64"):
         S.simulate_reaction_limited(S.build_adder_dag(4), SPEC, slow, 1)
     with pytest.raises(CapacityError, match="int64"):
-        S.phase_timeline(S.LookupSpec(8, 1), 4, SPEC, slow, 1)
+        S.phase_timeline(S.LookupSpec(8), 4, SPEC, slow, 1)
 
 
 def test_lookup_pace_matches_simulation_summary():
-    lookup = S.LookupSpec(1024, 32)
+    lookup = S.LookupSpec(1024)
     pace = S.lookup_pace(lookup, SPEC, BASE, 14)
     trace = S.simulate_lookup(lookup, SPEC, BASE, 14)
     assert pace.makespan_ns == trace.makespan_ns
     assert (pace.binding, pace.period_ns, pace.steps) == (
         trace.summary["binding"], trace.summary["period_ns"],
         trace.summary["toffoli_count"])
-    big = S.lookup_pace(S.LookupSpec(10 ** 9, 1), SPEC, BASE, 14)
+    big = S.lookup_pace(S.LookupSpec(10 ** 9), SPEC, BASE, 14)
     assert big.makespan_ns == 135000 + (10 ** 9 - 2) * 13500 + 10000
 
 
@@ -819,7 +823,7 @@ def test_digits_refuse_negative_values():
 def test_streamed_export_memory_is_bounded():
     """A 65536-entry lookup (262140 events, 17.7 MB of JSONL) is written
     one chunk at a time, in a few megabytes beyond the trace itself."""
-    trace = S.simulate_lookup(S.LookupSpec(65536, 1), SPEC, BASE, 14)
+    trace = S.simulate_lookup(S.LookupSpec(65536), SPEC, BASE, 14)
     written = []
 
     class Sink:

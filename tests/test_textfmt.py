@@ -41,7 +41,7 @@ def test_parsed_circuit_matches_hand_built():
     assert [b.outcomes for b in got] == [b.outcomes for b in want]
     for g, w in zip(got, want):
         assert g.probability == pytest.approx(w.probability)
-        assert np.allclose(g.final_state.amplitudes, w.final_state.amplitudes)
+        assert np.allclose(g.amplitudes, w.amplitudes)
 
 
 def test_comments_and_blank_lines_ignored():

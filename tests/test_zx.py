@@ -1,4 +1,5 @@
-"""Diagram evaluation against matrix targets."""
+"""Diagram evaluation against matrix targets, and the constructions
+against diagrams translated from their circuits."""
 
 import dataclasses
 import functools
@@ -13,10 +14,182 @@ from hypothesis import strategies as st
 
 from latticeplan import constructions, zx
 from latticeplan.exceptions import CapacityError
-from latticeplan.circuits import (GATES, Circuit, FrameUpdate, Gate,
-                                  enumerate_branches, plus_state)
+from latticeplan.circuits import (GATES, CGate, Circuit, FrameUpdate, Gate,
+                                  Measure, enumerate_branches,
+                                  evaluate_condition, plus_state)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+# ------------------------------------------------- diagrams and translator
+#
+# Hand-drawn diagrams and a circuit-to-diagram translator: the second,
+# independent semantics the constructions are checked against here. No
+# command runs them; `verify --zx` evaluates fixture files only.
+
+
+def graph_to_json(graph: zx.ZxGraph) -> str:
+    doc = {
+        "nodes": [{"id": nid, "kind": node.kind, "phase": node.phase}
+                  for nid, node in sorted(graph.nodes.items())],
+        "edges": sorted(tuple(sorted(e)) for e in graph.edges),
+        "inputs": list(graph.inputs),
+        "outputs": list(graph.outputs),
+    }
+    return json.dumps(doc, sort_keys=True, indent=1)
+
+
+def delayed_choice_cz_graph() -> zx.ZxGraph:
+    """Hand-drawn diagram of the delayed-choice CZ: each data wire carries
+    a z spider hooked through an x spider to one branch pair half; the two
+    halves share a Hadamard edge. The two stubs pick the bases."""
+    g = zx.ZxGraph()
+    in0 = g.add_node("b")
+    in1 = g.add_node("b")
+    out0 = g.add_node("b")
+    out1 = g.add_node("b")
+    z0 = g.add_node("z")
+    z1 = g.add_node("z")
+    x2 = g.add_node("x")
+    x3 = g.add_node("x")
+    s2 = g.add_node("z")
+    s3 = g.add_node("z")
+    h = g.add_node("h")
+    ch2 = g.add_node("choice")
+    ch3 = g.add_node("choice")
+    g.add_edge(in0, z0)
+    g.add_edge(z0, out0)
+    g.add_edge(in1, z1)
+    g.add_edge(z1, out1)
+    g.add_edge(z0, x2)
+    g.add_edge(z1, x3)
+    g.add_edge(x2, s2)
+    g.add_edge(x3, s3)
+    g.add_edge(s2, h)
+    g.add_edge(h, s3)
+    g.add_edge(x2, ch2)
+    g.add_edge(x3, ch3)
+    g.inputs = [in0, in1]
+    g.outputs = [out0, out1]
+    g.validate()
+    return g
+
+
+def ring_resource_graph() -> zx.ZxGraph:
+    """The nine-node ring resource as a state diagram: a cycle of spiders
+    joined by Hadamard edges, with the three anchor nodes also carrying
+    the phase-gadget encoding of a CCZ."""
+    g = zx.ZxGraph()
+    outs = [g.add_node("b") for _ in range(9)]
+    ring = [g.add_node("z") for _ in range(9)]
+    for i in range(9):
+        g.add_edge(ring[i], outs[i])
+        h = g.add_node("h")
+        g.add_edge(ring[i], h)
+        g.add_edge(h, ring[(i + 1) % 9])
+    anchors = [ring[0], ring[3], ring[6]]
+    _attach_ccz_gadgets(g, anchors)
+    g.outputs = list(outs)
+    g.validate()
+    return g
+
+
+def _attach_ccz_gadgets(g: zx.ZxGraph, wires: list[int]) -> None:
+    """Phase-gadget CCZ across three z spiders: pi/4 on each wire, -pi/4
+    on each pairwise parity, pi/4 on the triple parity."""
+    a, b, c = wires
+    for w in wires:
+        g.nodes[w].phase = (g.nodes[w].phase + 1) % 8
+    for group, phase in (((a, b), 7), ((a, c), 7), ((b, c), 7),
+                         ((a, b, c), 1)):
+        hub = g.add_node("x")
+        tip = g.add_node("z", phase)
+        g.add_edge(hub, tip)
+        for w in group:
+            g.add_edge(hub, w)
+
+
+def zx_from_circuit(circuit: Circuit, outcomes: dict[str, int]) -> zx.ZxGraph:
+    """Translate an adaptive circuit, with all measurement outcomes fixed,
+    into a ZX diagram. With its frame updates the diagram denotes the
+    construction's target exactly (mod scalar); a circuit stripped of them
+    denotes it mod Pauli.
+    """
+    g = zx.ZxGraph()
+    end: dict[int, int] = {}
+    inits = circuit.initial_states or ("0",) * circuit.num_qubits
+    for q, s in enumerate(inits):
+        if s == "?":
+            nid = g.add_node("b")
+            g.inputs.append(nid)
+        elif s == "+":
+            nid = g.add_node("z")
+        elif s == "0":
+            nid = g.add_node("x")
+        else:
+            nid = g.add_node("x", 4)
+        end[q] = nid
+
+    def extend(q: int, kind: str, phase: int = 0) -> int:
+        nid = g.add_node(kind, phase)
+        g.add_edge(end[q], nid)
+        end[q] = nid
+        return nid
+
+    def apply_gate_nodes(name: str, qs: tuple[int, ...]) -> None:
+        if name == "H":
+            extend(qs[0], "h")
+        elif name == "X":
+            extend(qs[0], "x", 4)
+        elif name == "Z":
+            extend(qs[0], "z", 4)
+        elif name == "S":
+            extend(qs[0], "z", 2)
+        elif name == "T":
+            extend(qs[0], "z", 1)
+        elif name == "CX":
+            c = extend(qs[0], "z")
+            t = extend(qs[1], "x")
+            g.add_edge(c, t)
+        elif name == "CZ":
+            a = extend(qs[0], "z")
+            b = extend(qs[1], "z")
+            h = g.add_node("h")
+            g.add_edge(a, h)
+            g.add_edge(h, b)
+        elif name == "CCZ":
+            spiders = [extend(q, "z") for q in qs]
+            _attach_ccz_gadgets(g, spiders)
+        elif name == "SWAP":
+            end[qs[0]], end[qs[1]] = end[qs[1]], end[qs[0]]
+        else:
+            raise ValueError(f"gate {name} has no translation")
+
+    for op in circuit.operations:
+        if isinstance(op, Gate):
+            apply_gate_nodes(op.name, op.qubits)
+        elif isinstance(op, CGate):
+            if evaluate_condition(op.condition, outcomes):
+                apply_gate_nodes(op.name, op.qubits)
+        elif isinstance(op, Measure):
+            m = outcomes[op.key]
+            basis = op.basis
+            if evaluate_condition(op.flip_basis_if, outcomes):
+                basis = "x" if basis == "z" else "z"
+            # A z-basis plug is an x spider <m| (phase m*pi); an x-basis
+            # plug is a z spider <+|/<-|.
+            extend(op.qubit, "x" if basis == "z" else "z", 4 * m)
+            del end[op.qubit]
+        else:
+            if evaluate_condition(op.condition, outcomes):
+                extend(op.qubit, "x" if op.pauli == "X" else "z", 4)
+
+    for q in sorted(end):
+        nid = g.add_node("b")
+        g.add_edge(end[q], nid)
+        g.outputs.append(nid)
+    g.validate()
+    return g
 
 
 def _wire(kind="z", phase=0):
@@ -97,12 +270,12 @@ def test_translated_gate_matches_matrix(name):
     c = Circuit(num_qubits=k,
                 operations=(Gate(name, tuple(range(k))),),
                 initial_states=("?",) * k)
-    g = zx.zx_from_circuit(c, {})
+    g = zx_from_circuit(c, {})
     assert zx.equiv_mod_pauli_scalar(zx.evaluate(g), u)
 
 
 def test_choice_resolution_activates_or_removes():
-    g = zx.delayed_choice_cz_graph()
+    g = delayed_choice_cz_graph()
     ch = g.choices()
     assert len(ch) == 2
     both_x = g.resolve_choices({c: "x" for c in ch})
@@ -112,7 +285,7 @@ def test_choice_resolution_activates_or_removes():
 
 
 def test_resolve_twice_rejected():
-    g = zx.delayed_choice_cz_graph()
+    g = delayed_choice_cz_graph()
     ch = g.choices()[0]
     once = g.resolve_choice(ch, "x")
     with pytest.raises(ValueError):
@@ -120,7 +293,7 @@ def test_resolve_twice_rejected():
 
 
 def test_evaluate_rejects_unresolved_choices():
-    g = zx.delayed_choice_cz_graph()
+    g = delayed_choice_cz_graph()
     with pytest.raises(ValueError):
         zx.evaluate(g)
 
@@ -156,8 +329,8 @@ def test_equiv_mod_pauli_scalar_cases():
 
 
 def test_json_round_trip():
-    g = zx.ring_resource_graph()
-    other = zx.graph_from_json(zx.graph_to_json(g))
+    g = ring_resource_graph()
+    other = zx.graph_from_json(graph_to_json(g))
     assert other.nodes.keys() == g.nodes.keys()
     assert all(other.nodes[k] == g.nodes[k] for k in g.nodes)
     assert sorted(tuple(sorted(e)) for e in other.edges) == \
@@ -172,19 +345,19 @@ def test_figure_graph_equals_translated_circuit():
         target = zx.TARGETS["CZ"] if apply_mode else zx.TARGETS["I2"]
         for bits in itertools.product((0, 1), repeat=2):
             outcomes = dict(zip(("m1", "m2"), bits))
-            g = zx.zx_from_circuit(cons.circuit, outcomes)
+            g = zx_from_circuit(cons.circuit, outcomes)
             m = zx.evaluate(g)
             assert zx.equiv_mod_pauli_scalar(m, target), (apply_mode, bits)
 
 
 def test_ring_resource_graph_matches_statevector():
-    m = zx.evaluate(zx.ring_resource_graph())
+    m = zx.evaluate(ring_resource_graph())
     ops = [Gate(g.name, tuple(q - 3 for q in g.qubits))
            for g in constructions.ring_resource_ops()]
     c = Circuit(num_qubits=9, operations=tuple(ops),
                 initial_states=("+",) * 9)
     (branch,) = enumerate_branches(c)
-    state = branch.final_state.amplitudes
+    state = branch.amplitudes
     assert zx.equiv_mod_pauli_scalar(m, state.reshape(-1, 1))
 
 
@@ -194,7 +367,7 @@ def test_full_autoccz_translation_is_ccz():
     rng = np.random.default_rng(2)
     for _ in range(4):
         outcomes = {k: int(v) for k, v in zip(keys, rng.integers(2, size=9))}
-        g = zx.zx_from_circuit(cons.circuit, outcomes)
+        g = zx_from_circuit(cons.circuit, outcomes)
         m = zx.evaluate(g)
         assert zx.equiv_mod_pauli_scalar(m, zx.TARGETS["CCZ"]), outcomes
 
@@ -205,7 +378,7 @@ def test_frameless_translation_only_pauli_off():
     frameless = dataclasses.replace(cons.circuit, operations=tuple(
         op for op in cons.circuit.operations
         if not isinstance(op, FrameUpdate)))
-    g = zx.zx_from_circuit(frameless, outcomes)
+    g = zx_from_circuit(frameless, outcomes)
     m = zx.evaluate(g)
     assert zx.equiv_mod_pauli_scalar(m, zx.TARGETS["CZ"])
 
@@ -244,7 +417,7 @@ def test_ccz_gadget_phases_sum_per_wire():
     wires = [g.add_node("z") for _ in range(3)]
     for o, w in zip(outs, wires):
         g.add_edge(o, w)
-    zx._attach_ccz_gadgets(g, wires)
+    _attach_ccz_gadgets(g, wires)
     g.outputs = outs
     state = zx.evaluate(g)
     expect = (zx.TARGETS["CCZ"] @ plus_state(3)).reshape(-1, 1)
