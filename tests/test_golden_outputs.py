@@ -25,10 +25,18 @@ ARGVS = (
     ("schedule", "--m", "1000", "--factories", "1", "--out", "{out}.jsonl"),
     ("schedule", "--m", "4000", "--factories", "28", "--out", "{out}.jsonl"),
     ("schedule", "--lookup", "65536", "--out", "{out}.jsonl"),
+    ("schedule", "--lookup", "16384", "--sides", "1", "--out",
+     "{out}.jsonl"),
+    ("schedule", "--lookup", "16384", "--factories", "1", "--out",
+     "{out}.jsonl"),
+    ("schedule", "--lookup", "16384", "--d2", "15", "--out", "{out}.jsonl"),
     ("schedule", "--m", "1000", "--lookup", "65536", "--out", "{out}.jsonl"),
     ("layout", "--m", "1000", "--out", "{out}.svg"),
     ("layout", "--m", "1000", "--out", "{out}.json"),
+    ("layout", "--m", "4000", "--factories", "28", "--out", "{out}.svg"),
+    ("layout", "--m", "4000", "--factories", "28", "--out", "{out}.json"),
     ("layout", "--rows", "1000", "--out", "{out}.svg"),
+    ("layout", "--rows", "1000", "--out", "{out}.json"),
     ("estimate",),
     ("estimate", "--json"),
 )
