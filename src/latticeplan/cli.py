@@ -311,7 +311,7 @@ def _cmd_layout(args) -> int:
     if args.out:
         fmt = "svg" if args.out.endswith(".svg") else "json"
         with open(args.out, "wb") as fh:
-            fh.write(layout.export_floorplan(plan, fmt))
+            layout.write_floorplan(plan, fmt, fh)
         print(f"wrote {args.out}", file=sys.stderr)
     return 0
 

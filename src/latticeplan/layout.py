@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bytefmt import byte_rows, chunks, squeeze
+from .bytefmt import _digits, byte_rows, chunks, squeeze
 from .exceptions import CapacityError
 from .factory import FACTORY_H, FACTORY_W, FactorySpec
 
@@ -62,7 +62,7 @@ MAX_DATA_ROWS = 40  # per side of the MAJ strip
 LOOKUP_WIDTH, ITERATION_ROWS = 40, 3
 BLOCK_CYCLES = 5  # duration of each reference volume block
 # Largest grid a plan builds. At 2^21 tiles, `layout --out plan.svg`
-# takes about 1.5 s and peaks near 240 MB, most of it the SVG text.
+# takes about 1 s and peaks near 70 MB: the text is streamed to the file.
 MAX_TILES = 1 << 21
 
 
@@ -471,9 +471,11 @@ def default_volume_components() -> tuple[VolumeComponent, ...]:
 _CELL = 8
 
 
-def export_floorplan(plan: Floorplan, fmt: str) -> bytes:
-    """Deterministic serialization: `json` round-trips losslessly, `svg`
-    draws one rect per tile plus one outline rect per factory."""
+def write_floorplan(plan: Floorplan, fmt: str, fh) -> None:
+    """Deterministic serialization to the binary file ``fh``: `json`
+    round-trips losslessly, `svg` draws one rect per tile plus one
+    outline rect per factory. Tiles go out one `bytefmt.chunks` slice at
+    a time, so no text of the whole plan is ever held."""
     if fmt == "json":
         # a plan without tiles has only empty rows; otherwise "grid" holds
         # a placeholder that the tile lines replace
@@ -489,40 +491,55 @@ def export_floorplan(plan: Floorplan, fmt: str) -> bytes:
         }
         text = (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
         if not plan.grid:
-            return text
+            fh.write(text)
+            return
         # "factories" and "fixup_boxes", the keys before it, hold only
         # numbers, so the first match is the placeholder
         head, tail = text.split(b'"grid": []', 1)
-        return head + b'"grid": ' + _json_grid(plan) + tail
-    if fmt == "svg":
+        fh.write(head + b'"grid": ')
+        _write_json_grid(plan, fh)
+        fh.write(tail)
+    elif fmt == "svg":
         w, h = plan.width * _CELL, plan.height * _CELL
-        head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
-                f'height="{h}" viewBox="0 0 {w} {h}">\n')
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
+                 f'height="{h}" viewBox="0 0 {w} {h}">\n'.encode())
         roles = plan.roles.ravel()
         colors = np.frombuffer("".join(ROLE_COLORS[r] for r in ROLES)
                                .encode(), dtype=np.uint8).reshape(-1, 7)
-        ys, xs = np.indices((plan.height, plan.width)).reshape(2, -1) * _CELL
-        # one growing buffer, so the text is never held twice
-        out = io.BytesIO()
-        out.write(head.encode())
+        # each coordinate's digits, formatted once per axis
+        x_text = _digits(np.arange(plan.width) * _CELL)
+        y_text = _digits(np.arange(plan.height) * _CELL)
         for part in chunks(len(roles)):
-            out.write(squeeze(byte_rows([
-                b'<rect x="', xs[part], b'" y="', ys[part],
+            ys, xs = np.divmod(np.arange(part.start,
+                                         min(part.stop, len(roles))),
+                               plan.width)
+            fh.write(squeeze(byte_rows([
+                b'<rect x="', x_text.take(xs, axis=0), b'" y="',
+                y_text.take(ys, axis=0),
                 f'" width="{_CELL}" height="{_CELL}" fill="'.encode(),
-                colors[roles[part]], b'"/>\n'])))
-        fx, fy = np.array(plan.factories, dtype=np.int64).reshape(-1, 2).T
-        out.write(squeeze(byte_rows([
-            b'<rect class="factory" x="', fx * _CELL, b'" y="', fy * _CELL,
-            f'" width="{FACTORY_W * _CELL}" height="{FACTORY_H * _CELL}" '
-            f'fill="none" stroke="#000000" stroke-width="2"/>\n'.encode()])))
-        out.write(b"</svg>")
-        return out.getvalue()
-    raise ValueError(f"unknown export format {fmt!r}")
+                colors.take(roles[part], axis=0), b'"/>\n'])))
+        f = np.array(plan.factories, dtype=np.int64).reshape(-1, 2) * _CELL
+        for part in chunks(len(f)):
+            fh.write(squeeze(byte_rows([
+                b'<rect class="factory" x="', f[part, 0], b'" y="',
+                f[part, 1], f'" width="{FACTORY_W * _CELL}" height='
+                f'"{FACTORY_H * _CELL}" fill="none" stroke="#000000" '
+                f'stroke-width="2"/>\n'.encode()])))
+        fh.write(b"</svg>")
+    else:
+        raise ValueError(f"unknown export format {fmt!r}")
 
 
-def _json_grid(plan: Floorplan) -> bytes:
-    """The non-empty grid as `json.dumps(indent=1)` lays it out under a
-    top-level key: one line per tile, each row in brackets."""
+def export_floorplan(plan: Floorplan, fmt: str) -> bytes:
+    """The bytes `write_floorplan` writes."""
+    buf = io.BytesIO()
+    write_floorplan(plan, fmt, buf)
+    return buf.getvalue()
+
+
+def _write_json_grid(plan: Floorplan, fh) -> None:
+    """Write the non-empty grid as `json.dumps(indent=1)` lays it out
+    under a top-level key: one line per tile, each row in brackets."""
     # row 3 * role + end of `lines` is a tile's line: its role name and
     # what follows it, a comma (end 0), the end of its row (1) or the end
     # of the grid (2)
@@ -532,10 +549,9 @@ def _json_grid(plan: Floorplan) -> bytes:
     line = plan.roles.ravel() * np.uint8(3)
     line[plan.width - 1::plan.width] += 1
     line[-1] += 1
-    out = [b"[\n  [\n"]
+    fh.write(b"[\n  [\n")
     for part in chunks(len(line)):
-        out.append(squeeze(lines[line[part]]))
-    return b"".join(out)
+        fh.write(squeeze(lines.take(line[part], axis=0)))
 
 
 _FIELDS = ("width", "height", "patch_distance", "grid", "factories",

@@ -4,12 +4,15 @@ Event times are exact integers in nanoseconds; durations derived from the
 assumptions must convert to whole nanoseconds.
 
 A trace is columnar. Each `EventBlock` holds the events of one kind as
-int64 arrays: times, a tie-break and the payload columns. One
-`np.lexsort` over (time, kind, tie-break) orders the whole trace.
-`write_jsonl` streams it to a file in chunks of 8192 events: for
-each chunk it gathers every kind's columns at the chunk's rows and lays
-out their key-sorted lines as one byte matrix (`bytefmt`), so no text of
-the whole trace is ever held. The lookup and the serial chain also have
+int64 arrays: times, a tie-break and the payload columns. An `EventTable`
+keeps one block per kind, each in (time, tie-break) order: the chain,
+lookup and timeline blocks arrive sorted, and a general DAG's get one
+`np.lexsort` each. One stable argsort of their concatenated times then
+merges the blocks into trace order. `write_jsonl` streams the trace to a
+file in chunks of 8192 events: a chunk takes the next run of each
+block's sorted events, a slice of its columns, and lays out their
+key-sorted lines as one byte matrix (`bytefmt`), so no text of the
+whole trace is ever held. The lookup and the serial chain also have
 closed forms, so the lookup and adder summaries and the phase timeline
 need no events at all, and a chain's trace is its closed form evaluated
 over every node at once.
@@ -32,11 +35,11 @@ EVENT_KINDS = ("state_ready", "consume", "reaction_decision",
                "cnot_window", "phase_boundary")
 
 # Largest trace the simulators build; a 2^20-entry lookup has 4 * 2^20 - 4
-# events. Its columns and sort permutation take about 50 bytes per event
+# events. Its columns and merge permutation take about 40 bytes per event
 # and the streamed export a few megabytes more: `schedule --lookup 1048576
-# --out` peaks at 236 MB. The largest adder trace under the cap, 4.19M
+# --out` peaks at 170 MB. The largest adder trace under the cap, 4.19M
 # events, adds its DAG arrays (about 40 bytes per node): `schedule --m
-# 699052 --out` peaks at 292 MB.
+# 699052 --out` peaks at 235 MB.
 MAX_TRACE_EVENTS = 1 << 22
 
 
@@ -71,20 +74,47 @@ class EventBlock:
 
 
 class EventTable:
-    """The events of a trace: one block per kind and the permutation that
-    sorts their concatenation by (time, kind, tie-break)."""
+    """The events of a trace: one block per kind, held in EVENT_KINDS
+    order, and the permutation `order` that sorts their concatenation by
+    (time, kind, tie-break).
+
+    ``rows[i]`` is block i's own (time, tie-break) order: None where the
+    block is sorted already, as every chain, lookup and timeline block
+    is, else one `np.lexsort` (a general DAG's blocks come in
+    topological order). A stable argsort of the blocks' sorted times,
+    concatenated, then merges them: equal times keep the kind order and,
+    within a kind, the tie-break order."""
 
     def __init__(self, blocks: list[EventBlock]) -> None:
-        self.blocks = tuple(blocks)
-        sizes = [len(b.t_ns) for b in self.blocks]
-        kinds = np.repeat([EVENT_KINDS.index(b.kind) for b in self.blocks],
-                          sizes)
-        self.order = np.lexsort((
-            np.concatenate([b.tie for b in self.blocks]), kinds,
-            np.concatenate([b.t_ns for b in self.blocks])))
+        self.blocks = tuple(sorted(blocks,
+                                   key=lambda b: EVENT_KINDS.index(b.kind)))
+        kinds = [b.kind for b in self.blocks]
+        if len(set(kinds)) != len(kinds):
+            raise ValueError("a trace holds one block per kind")
+        self.rows = tuple(None if _is_sorted(b.t_ns, b.tie)
+                          else np.lexsort((b.tie, b.t_ns))
+                          for b in self.blocks)
+        merge = np.argsort(np.concatenate(
+            [b.t_ns if r is None else b.t_ns[r]
+             for b, r in zip(self.blocks, self.rows)]), kind="stable")
+        if any(r is not None for r in self.rows):
+            # positions in the sorted blocks to positions in the blocks
+            starts = np.cumsum([0] + [len(b.t_ns) for b in self.blocks])
+            merge = np.concatenate(
+                [start + (np.arange(len(b.t_ns)) if r is None else r)
+                 for start, b, r in zip(starts, self.blocks, self.rows)]
+            )[merge]
+        self.order = merge
 
     def __len__(self) -> int:
         return len(self.order)
+
+
+def _is_sorted(t: np.ndarray, tie: np.ndarray) -> bool:
+    """Whether the events are in (time, tie-break) order."""
+    same = t[1:] == t[:-1]
+    return bool((t[1:] >= t[:-1]).all() and (tie[1:][same]
+                                               >= tie[:-1][same]).all())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -475,23 +505,29 @@ def write_jsonl(trace: ScheduleTrace, fh) -> None:
     """Write the trace to the binary file ``fh``, one event per line with
     its keys sorted, so identical traces serialize to identical bytes.
     Events go out one `bytefmt.chunks` slice at a time, in trace order;
-    negative values are refused."""
-    blocks = trace.events.blocks
-    starts = np.cumsum([0] + [len(b.t_ns) for b in blocks])
-    order = trace.events.order
-    for part in chunks(len(order)):
-        rows = order[part]
-        block_of = np.searchsorted(starts, rows, side="right") - 1
+    negative values are refused.
+
+    In trace order each block's events come in its own sorted order, so
+    the events a chunk takes from one block are the next run of that
+    order: one cursor per block turns them into a slice."""
+    table = trace.events
+    sizes = [len(b.t_ns) for b in table.blocks]
+    block_ids = np.repeat(np.arange(len(sizes), dtype=np.uint8), sizes)
+    cursor = [0] * len(sizes)
+    for part in chunks(len(table)):
+        block_of = block_ids[table.order[part]]
         lines = []
-        for i, block in enumerate(blocks):
-            mine = block_of == i
-            if mine.any():
-                lines.append((mine, byte_rows(
-                    block.line_parts(rows[mine] - starts[i]))))
-        chunk = np.zeros((len(rows), max(m.shape[1] for _, m in lines)),
+        for i, (block, rows) in enumerate(zip(table.blocks, table.rows)):
+            at = np.flatnonzero(block_of == i)
+            if len(at):
+                mine = slice(cursor[i], cursor[i] + len(at))
+                cursor[i] = mine.stop
+                lines.append((at, byte_rows(block.line_parts(
+                    mine if rows is None else rows[mine]))))
+        chunk = np.zeros((len(block_of), max(m.shape[1] for _, m in lines)),
                          dtype=np.uint8)
-        for mine, m in lines:
-            chunk[mine, :m.shape[1]] = m
+        for at, m in lines:
+            chunk[at, :m.shape[1]] = m
         fh.write(squeeze(chunk))
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticeplan import bytefmt
 from latticeplan import layout as L
 from latticeplan.exceptions import CapacityError
 from latticeplan.factory import FactorySpec
@@ -409,6 +411,29 @@ def test_svg_deterministic_with_expected_rects(big_plan):
 def test_unknown_export_format(small_plan):
     with pytest.raises(ValueError, match="unknown export format"):
         L.export_floorplan(small_plan, "pdf")
+
+
+@pytest.mark.parametrize("fmt, size", [("svg", 29534358),
+                                       ("json", 9378902)])
+def test_streamed_floorplan_memory_is_bounded(fmt, size):
+    """A 4000-row register plan (480160 tiles) is written one chunk at a
+    time, in a few megabytes whatever the size of its text."""
+    plan = L.plan_lookup_layout(4000, SPEC)
+    written = []
+
+    class Sink:
+        def write(self, data):
+            written.append(len(data))
+
+    tracemalloc.start()
+    try:
+        L.write_floorplan(plan, fmt, Sink())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(written) == size
+    assert len(written) > plan.width * plan.height // bytefmt.CHUNK_ROWS
+    assert peak < 4 << 20
 
 
 # --------------------------------------------------------- properties

@@ -20,7 +20,7 @@ from latticeplan import bytefmt
 from latticeplan import scheduler as S
 from latticeplan.constructions import build_cuccaro_adder
 from latticeplan.exceptions import CapacityError
-from latticeplan.factory import FactorySpec, PhysicalAssumptions
+from latticeplan.factory import FactorySpec, PhysicalAssumptions, ccz_rate
 
 BASE = PhysicalAssumptions()
 SPEC = FactorySpec()
@@ -780,14 +780,79 @@ def _ref_table_events(table):
     return [event for _, event in sorted(rows)]
 
 
+def _block(kind, t_ns, tie, **columns):
+    return S.EventBlock(kind, np.array(t_ns, dtype=np.int64),
+                        np.array(tie, dtype=np.int64),
+                        {k: np.array(v) for k, v in columns.items()})
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(event_tables(), st.integers(1, 7))
+# blocks given out of kind order, tying across kinds
+@example(S.EventTable([
+    _block("cnot_window", [5, 9, 9], [0, 1, 2], corridor=["a", "b", "z"]),
+    _block("consume", [5, 5, 9], [0, 1, 2], node=[3, 4, 5]),
+    _block("state_ready", [1, 5, 9], [0, 1, 2], state=[1, 2, 3]),
+]), 2)
+# a block unsorted in t_ns, whose sort a chunk boundary cuts
+@example(S.EventTable([
+    _block("consume", [7, 2, 7, 0, 2], [1, 0, 0, 2, 3],
+           node=[0, 1, 2, 3, 4]),
+    _block("reaction_decision", [3, 8, 1], [2, 0, 1], node=[0, 1, 2]),
+]), 3)
+# equal (t_ns, tie) pairs within a block keep their block order
+@example(S.EventTable([
+    _block("reaction_decision", [4, 4, 4, 1, 4], [2, 2, 2, 0, 1],
+           node=[10, 11, 12, 13, 14]),
+    _block("state_ready", [4, 4], [2, 2], state=[7, 8]),
+]), 1)
 def test_streamed_export_matches_reference(table, chunk):
     trace = S.ScheduleTrace(table, 0, {})
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bytefmt, "CHUNK_ROWS", chunk)
         text = S.export_jsonl(trace)
     assert text == _ref_export(_ref_table_events(table))
+
+
+def _lexsort_order(table):
+    """The trace order as one lexsort over (time, kind, tie-break), with
+    the concatenation order breaking full ties."""
+    sizes = [len(b.t_ns) for b in table.blocks]
+    kinds = np.repeat([S.EVENT_KINDS.index(b.kind) for b in table.blocks],
+                      sizes)
+    return np.lexsort((np.concatenate([b.tie for b in table.blocks]), kinds,
+                       np.concatenate([b.t_ns for b in table.blocks])))
+
+
+@pytest.mark.parametrize("entries, sides, factories, d2", [
+    (65536, 2, None, 27), (16384, 1, None, 27), (16384, 2, 1, 27),
+    (16384, 2, None, 15)])
+def test_run_merge_matches_lexsort_on_lookup_traces(entries, sides,
+                                                    factories, d2):
+    spec = FactorySpec(d2=d2)
+    n = factories or ccz_rate(spec, BASE).factories_needed
+    table = S.simulate_lookup(S.LookupSpec(entries, access_sides=sides),
+                              spec, BASE, n).events
+    assert table.rows == (None,) * 4  # every block arrives sorted
+    np.testing.assert_array_equal(table.order, _lexsort_order(table))
+
+
+def test_run_merge_matches_lexsort_on_a_general_dag():
+    rng = np.random.default_rng(5)
+    a, b = np.sort(rng.integers(0, 300, (2, 600)), axis=0)
+    dag = S.ToffoliDag(300, np.unique(np.column_stack([a, b])[a < b],
+                                      axis=0))
+    assert not dag.is_chain
+    table = S.simulate_reaction_limited(dag, SPEC, BASE, 4).events
+    # consume and reaction_decision come in topological order
+    assert [r is None for r in table.rows] == [True, False, False]
+    np.testing.assert_array_equal(table.order, _lexsort_order(table))
+
+
+def test_event_table_refuses_a_repeated_kind():
+    block = _block("consume", [1], [0])
+    with pytest.raises(ValueError, match="one block per kind"):
+        S.EventTable([block, block])
 
 
 def test_export_refuses_negative_values():
@@ -798,7 +863,9 @@ def test_export_refuses_negative_values():
         S.export_jsonl(trace)
 
 
-_DIGIT_EDGES = (0, 9, 10, 9999, 10000, 10 ** 16, 2 ** 63 - 1)
+# digit-count edges, and the edges of the four-digit groups
+_DIGIT_EDGES = (0, 9, 10, 9999, 10000, 10 ** 8 - 1, 10 ** 8, 10 ** 12 - 1,
+                10 ** 12, 10 ** 16 - 1, 10 ** 16, 10 ** 18, 2 ** 63 - 1)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
