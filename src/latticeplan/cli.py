@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 all checks passed, 1 a check or validation failed, 2 usage
-or configuration error.
+or configuration error. Each command imports the modules it runs in its
+handler, so `schedule`, `layout` and `estimate` load no circuit code.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import constructions, layout, scheduler, zx
 from .exceptions import CapacityError
 from .factory import (FactorySpec, PhysicalAssumptions, ccz_rate,
                       format_khz, format_ms, parse_assumptions_file,
@@ -136,6 +136,7 @@ def _adder_bits(name: str) -> int | None:
 
 
 def _cmd_verify(args) -> int:
+    from . import constructions, zx
     seed = int(os.environ.get("LATTICEPLAN_SEED", DEFAULT_SEED))
     names = list(args.names)
     if not names or names == ["all"]:
@@ -214,6 +215,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
+    from . import scheduler
     assumptions, spec, _ = _load_setup(args)
     n = args.factories
     if n is None:
@@ -287,6 +289,7 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_layout(args) -> int:
+    from . import layout
     _, spec, _ = _load_setup(args)
     if (args.m is None) == (args.rows is None):
         print("error: layout needs exactly one of --m or --rows",

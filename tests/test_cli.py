@@ -2,6 +2,8 @@
 
 import json
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -450,3 +452,29 @@ def test_every_command_returns_its_freed_memory(monkeypatch, capsys, argv,
                         lambda: calls.append(1))
     assert run(capsys, *argv)[0] == want
     assert calls == [1, 1]  # before and after the command
+
+
+# ------------------------------------------------------------ imports
+
+
+def test_schedule_and_layout_load_no_circuit_code():
+    """Each command imports its own modules: `schedule` and `layout`
+    never load the circuit simulator, the constructions or the ZX
+    checker."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from latticeplan import cli\n"
+        "assert cli.main(['schedule', '--m', '10']) == 0\n"
+        "assert cli.main(['layout', '--m', '10']) == 0\n"
+        "print(' '.join(sorted(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
+    assert "latticeplan.scheduler" in loaded
+    assert "latticeplan.layout" in loaded
+    for name in ("latticeplan.circuits", "latticeplan.constructions",
+                 "latticeplan.zx"):
+        assert name not in loaded
