@@ -54,9 +54,10 @@ class EventBlock:
     tie: np.ndarray
     columns: dict[str, np.ndarray]
 
-    def line_parts(self, rows: np.ndarray) -> list:
-        """The `byte_rows` parts of the events at ``rows``: each the line
-        ``json.dumps(event, sort_keys=True)`` writes, with its newline."""
+    def line_parts(self, rows: slice | np.ndarray) -> list:
+        """The `byte_rows` parts of the events at ``rows``, a slice or an
+        index array: each the line ``json.dumps(event, sort_keys=True)``
+        writes, with its newline."""
         cols = {"t_ns": self.t_ns, **self.columns}
         parts = []
         sep = b"{"
