@@ -37,6 +37,7 @@ ARGVS = (
     ("layout", "--m", "4000", "--factories", "28", "--out", "{out}.json"),
     ("layout", "--rows", "1000", "--out", "{out}.svg"),
     ("layout", "--rows", "1000", "--out", "{out}.json"),
+    ("layout", "--m", "10", "--factories", "1000", "--out", "{out}.json"),
     ("estimate",),
     ("estimate", "--json"),
 )
