@@ -2,11 +2,14 @@
 
 Convention: qubit 0 is the most significant bit of the basis index, so
 ``basis_state("110")`` has amplitude 1 at index 6. All gates are stored as
-unitary matrices over their arity. A gate is applied on sub-block views of
-the state: each output sub-block is written from the nonzero entries of
-its matrix row by copies, negations, sums and scalings, with no transposed
-copy and no BLAS call, so every amplitude is the same rounded operations
-however many columns are carried along.
+unitary matrices over their arity. A gate is applied in place
+(``apply_in_place``) on sub-block views of a batch of registers: each
+output sub-block is written from the nonzero entries of its matrix row by
+copies, negations, sums and scalings, with no transposed copy and no BLAS
+call, so every amplitude is the same rounded operations however many
+registers and columns are carried along. A monomial gate (all but H)
+touches only the sub-blocks it changes: CZ negates one quarter of the
+block, CX swaps two quarters through one temporary.
 
 ``apply_pauli`` is the one place a Pauli string X^x Z^z is applied, given
 as bit masks over the row index: each outcome's recorded frame in the
@@ -72,7 +75,27 @@ def apply_unitary(vec: np.ndarray, u: np.ndarray, qubits: Sequence[int],
     ``qubits`` are tensor positions under the MSB-first convention; the
     matrix's own qubit 0 acts on ``qubits[0]``. A ``(2^n, ...)`` array
     is that many statevectors side by side; each is transformed, and the
-    result is a new C-contiguous array of the same shape.
+    result is a new C-contiguous array of the same shape: a copy of
+    ``vec`` that ``apply_in_place`` then transforms.
+    """
+    out = np.array(vec, dtype=np.result_type(vec, u), order="C")
+    apply_in_place(out.reshape(1, 1 << n, -1), u, qubits, n)
+    return out
+
+
+def apply_in_place(block: np.ndarray, u: np.ndarray, qubits: Sequence[int],
+                   n: int) -> None:
+    """Apply ``u`` to ``qubits`` of every n-qubit register in ``block``,
+    a (B, 2^n, ...) array: B batches of rows, trailing axes carried
+    along. The rows must reshape without a copy, as they do in a
+    C-contiguous array.
+
+    A monomial ``u`` (one nonzero per row and per column, every gate but
+    H) writes only what it changes: a fixed point with coefficient 1 is
+    left alone, any other is scaled in place, and each cycle of the
+    permutation is carried through one sub-block temporary. Any other
+    matrix is written row by row, and a sub-block is saved before its
+    row overwrites it if a later row reads it: H saves one half.
     """
     k = len(qubits)
     if u.shape != (1 << k, 1 << k):
@@ -82,19 +105,20 @@ def apply_unitary(vec: np.ndarray, u: np.ndarray, qubits: Sequence[int],
     for q in qubits:
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for {n} qubits")
+    if block.shape[1:2] != (1 << n,):
+        raise ValueError(f"block of shape {block.shape} does not hold "
+                         f"{n}-qubit rows")
     # Rows as (2^a, 2, 2^b, 2, ..., rest): one size-2 axis per gate qubit
     # in ascending order, each run of untouched qubits merged.
     order = sorted(qubits)
-    shape: list[int] = []
+    shape = [len(block)]
     prev = -1
     for q in order:
         shape += [1 << (q - prev - 1), 2]
         prev = q
     shape += [1 << (n - 1 - prev), -1]
-    src = vec.reshape(shape)
-    out = np.empty(vec.shape, np.result_type(vec, u))
-    dst = out.reshape(shape)
-    axes = [2 * order.index(q) + 1 for q in qubits]
+    view = np.reshape(block, shape, copy=False)
+    axes = [2 * order.index(q) + 2 for q in qubits]
 
     def sub(t: np.ndarray, j: int) -> np.ndarray:
         index: list = [slice(None)] * len(shape)
@@ -102,18 +126,55 @@ def apply_unitary(vec: np.ndarray, u: np.ndarray, qubits: Sequence[int],
             index[axis] = (j >> (k - 1 - i)) & 1
         return t[tuple(index)]
 
-    for j, row in enumerate(u):
-        _write_row(sub(dst, j), [(row[i], sub(src, i))
-                                 for i in np.flatnonzero(row)])
-    return out
+    dim = 1 << k
+    cols = [np.flatnonzero(row) for row in u]
+    source = [c[0] if len(c) == 1 else -1 for c in cols]
+    if sorted(source) != list(range(dim)):
+        # Row j overwrites sub-block j, so the sub-block is saved first if
+        # a later row reads it, or its own row after the two terms that
+        # _write_row reads before writing.
+        saved: dict[int, np.ndarray] = {}
+        for j, row in enumerate(u):
+            target = sub(view, j)
+            if u[j + 1:, j].any() or j in cols[j][2:]:
+                saved[j] = target.copy()
+            _write_row(target, [(row[i], saved[i] if i in saved
+                                 else sub(view, i)) for i in cols[j]])
+        return
+    done = [False] * dim
+    for start in range(dim):
+        if done[start]:
+            continue
+        if source[start] == start:
+            done[start] = True
+            if u[start, start] != 1:
+                target = sub(view, start)
+                _write_row(target, [(u[start, start], target)])
+            continue
+        # out[j] = u[j, source[j]] in[source[j]] around the cycle, the
+        # last one from the saved first sub-block
+        first = sub(view, start).copy()
+        j = start
+        while not done[j]:
+            done[j] = True
+            i = source[j]
+            _write_row(sub(view, j),
+                       [(u[j, i], first if i == start else sub(view, i))])
+            j = i
 
 
 def _write_row(target: np.ndarray, terms: list) -> None:
     """Set ``target`` to the sum of coefficient x sub-block over
     ``terms``, elementwise, so that every amplitude is the same rounded
-    operations whatever the block's shape. Coefficients of one real
-    magnitude are a chain of copies, negations, sums and differences
-    followed by one real scale; any others are multiplied in."""
+    operations whatever the block's shape. The first two sub-blocks are
+    read before ``target`` is written, so either may be ``target``
+    itself; a later one must not be.
+
+    Coefficients of one real magnitude are a chain of sums and
+    differences, the first of them writing ``target``, followed by one
+    real scale. Any others are multiplied into a temporary that is then
+    copied: numpy rounds a complex product without a fused multiply-add
+    when it runs in place over one element, and with one otherwise."""
     if not terms:
         target[...] = 0
         return
@@ -121,19 +182,28 @@ def _write_row(target: np.ndarray, terms: list) -> None:
     scale = abs(coeffs[0].real)
     if (coeffs.imag == 0).all() and (np.abs(coeffs.real) == scale).all():
         signs = coeffs.real > 0
-        first = terms[0][1]
-        if signs[0]:
-            np.copyto(target, first)
+        blocks = [b for _, b in terms]
+        if len(blocks) == 1:
+            if signs[0]:
+                np.copyto(target, blocks[0])
+            else:
+                np.negative(blocks[0], out=target)
+        elif signs[0]:
+            (np.add if signs[1] else np.subtract)(blocks[0], blocks[1],
+                                                  out=target)
+        elif signs[1]:
+            np.subtract(blocks[1], blocks[0], out=target)
         else:
-            np.negative(first, out=target)
-        for positive, (_, block) in zip(signs[1:], terms[1:]):
+            np.subtract(np.negative(blocks[0]), blocks[1], out=target)
+        for positive, block in zip(signs[2:], blocks[2:]):
             (np.add if positive else np.subtract)(target, block, out=target)
         if scale != 1:
             np.multiply(target, scale, out=target)
         return
-    np.multiply(terms[0][1], terms[0][0], out=target)
+    total = np.multiply(terms[0][1], terms[0][0])
     for c, block in terms[1:]:
-        target += c * block
+        total += c * block
+    np.copyto(target, total)
 
 
 def apply_gate(vec: np.ndarray, name: str, qubits: Sequence[int],
@@ -163,7 +233,9 @@ def apply_pauli(v: np.ndarray, x, z) -> np.ndarray:
         odd ^= odd >> shift
     tail = (1,) * (v.ndim - axis - 1)
     sign = (1 - 2 * (odd & 1)).reshape(src.shape + tail)
-    return sign * np.take_along_axis(v, src.reshape(src.shape + tail), axis)
+    out = np.take_along_axis(v, src.reshape(src.shape + tail), axis)
+    out *= sign
+    return out
 
 
 def basis_state(bits: str) -> np.ndarray:
@@ -185,18 +257,28 @@ def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def kron_with_ancillas(data: np.ndarray, data_qubits: Sequence[int],
-                       ancilla_bits: dict[int, str], n: int) -> np.ndarray:
+                       ancilla_bits: dict[int, str], n: int,
+                       rows: Sequence[int] | None = None) -> np.ndarray:
     """Embed ``data`` on ``data_qubits`` into an n-qubit register whose
     remaining qubits start in the given computational/plus basis states.
 
     ``ancilla_bits`` maps qubit index to "0", "1", or "+". A trailing
-    column axis of ``data`` is kept: each column is embedded.
+    column axis of ``data`` is kept: each column is embedded. ``rows``
+    names the qubit of each row bit, most significant first (default
+    ascending).
+
+    Each row is the product of its ancilla amplitudes, taken in row
+    order, times the data row that its data bits index: one gather and
+    one product over the register, with no transpose.
     """
     if sorted(list(data_qubits) + list(ancilla_bits)) != list(range(n)):
         raise ValueError("data and ancilla qubits must partition the register")
-    vec = np.ones(1, dtype=np.complex128)
-    order: list[int] = []
-    for q in range(n):
+    rows = list(range(n)) if rows is None else list(rows)
+    if sorted(rows) != list(range(n)):
+        raise ValueError(f"row order {rows!r} is not a permutation")
+    weight = np.ones(1, dtype=np.complex128)
+    index = np.zeros(1, dtype=np.intp)
+    for q in rows:
         if q in ancilla_bits:
             spec = ancilla_bits[q]
             if spec == "+":
@@ -205,12 +287,12 @@ def kron_with_ancillas(data: np.ndarray, data_qubits: Sequence[int],
                 single = basis_state(spec)
             else:
                 raise ValueError(f"bad ancilla spec {spec!r}")
-            vec = np.kron(vec, single)
-            order.append(q)
-    cols = data.shape[1:]
-    full = np.multiply.outer(vec, data)
-    order.extend(data_qubits)
-    # order[i] is the qubit at tensor position i; transpose sends each home.
-    perm = [order.index(q) for q in range(n)] + list(range(n, n + len(cols)))
-    t = full.reshape((2,) * n + cols).transpose(perm)
-    return np.ascontiguousarray(t.reshape((1 << n,) + cols))
+            weight = np.kron(weight, single)
+            index = np.repeat(index, 2)
+        else:
+            bit = 1 << (len(data_qubits) - 1 - list(data_qubits).index(q))
+            weight = np.repeat(weight, 2)
+            index = np.add.outer(index, (0, bit)).ravel()
+    out = data[index].astype(np.result_type(data, weight), copy=False)
+    out *= weight.reshape((-1,) + (1,) * (data.ndim - 1))
+    return out

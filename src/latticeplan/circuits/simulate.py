@@ -7,6 +7,17 @@ holds every live outcome prefix side by side, so each circuit operation
 is one vectorised step, and a measurement splits every prefix at once
 with the 0 outcome first, keeping the prefixes in lexicographic order.
 
+The walk works on one block of shape (B, rows, C) in place. Its rows
+hold the measured qubits first, in measurement order with the first one
+measured as the most significant bit, then the survivors in ascending
+order (``row_order``); a circuit never touches a qubit after measuring
+it, so this order is fixed before the walk starts, and the start block
+is built in it. Each measurement then splits off the most significant
+row bit by a reshape that copies nothing: (B, 2, rows/2, C) becomes
+(2B, rows/2, C). Every gate runs in place (``gates.apply_in_place``),
+writing only the sub-blocks it changes; a conditional gate runs on the
+prefixes it selects, gathered and scattered back.
+
 The walk carries a trailing column axis: with every basis input as a
 column, each live outcome string ends with the Kraus operator of that
 string, and the channel check compares it, after its Pauli frame,
@@ -26,14 +37,16 @@ import numpy as np
 from ..exceptions import CapacityError, ContractError
 from .circuit import (CGate, Circuit, FrameUpdate, Gate, TRUE,
                       evaluate_condition)
-from .gates import (MAX_QUBITS, apply_gate, apply_pauli, basis_state,
-                    kron_with_ancillas, random_state)
+from .gates import (GATES, MAX_QUBITS, apply_in_place, apply_pauli,
+                    basis_state, kron_with_ancillas, random_state)
 
 PROB_FLOOR = 1e-12
 ATOL = 1e-9
 # The Kraus walk of n qubits and k inputs never holds more than 2^(n+k)
 # values: a measurement halves the rows and at most doubles the prefixes.
-# The constructions need at most 2^18 values, and 2^22 take 64 MiB.
+# The constructions need at most 2^18 values, and 2^22 take 64 MiB. The
+# walk works on that one block in place; the channel check of mux-skip
+# (2^18 values, 4 MiB) peaks at 9.8 MiB of numpy memory.
 MAX_KRAUS_VALUES = 1 << 22
 
 
@@ -65,10 +78,11 @@ def input_qubits_of(circuit: Circuit) -> tuple[int, ...]:
     return tuple(q for q, s in enumerate(circuit.initial_states) if s == "?")
 
 
-def initial_vector(circuit: Circuit,
-                   input_state: np.ndarray | None) -> np.ndarray:
+def initial_vector(circuit: Circuit, input_state: np.ndarray | None,
+                   rows: Sequence[int] | None = None) -> np.ndarray:
     """The register at the start of the circuit. A ``(2^k, C)`` input
-    gives C registers side by side, one per column."""
+    gives C registers side by side, one per column. ``rows`` names the
+    qubit of each row bit, most significant first (default ascending)."""
     n = circuit.num_qubits
     if n > MAX_QUBITS:
         raise CapacityError(f"{n} qubits exceeds the cap of {MAX_QUBITS}")
@@ -80,10 +94,12 @@ def initial_vector(circuit: Circuit,
         if input_state.shape[:1] != (1 << len(data_qubits),):
             raise ValueError("input state has wrong dimension")
         ancillas = {q: s for q, s in enumerate(inits) if s != "?"}
-        return kron_with_ancillas(input_state, data_qubits, ancillas, n)
+        return kron_with_ancillas(input_state, data_qubits, ancillas, n,
+                                  rows)
     if input_state is not None:
         raise ValueError("circuit has no input qubits")
-    return kron_with_ancillas(basis_state(""), (), dict(enumerate(inits)), n)
+    return kron_with_ancillas(basis_state(""), (), dict(enumerate(inits)), n,
+                              rows)
 
 
 class _Walk(NamedTuple):
@@ -92,11 +108,13 @@ class _Walk(NamedTuple):
 
     ``block`` is (2^s, B, C): the outputs of the B live strings on the s
     surviving qubits, one column per input, each still weighted by its
-    outcome's amplitude. ``bits`` is their (B, m) outcome matrix, ``x``
-    and ``z`` are the (B,) X and Z masks of their recorded frames over the
-    surviving qubits (qubit 0 the most significant bit), and ``stubs``
-    holds the outcome strings of the zero-norm prefixes whose subtrees
-    were not explored.
+    outcome's amplitude; it is a transposed view of the walk's own
+    C-contiguous (B, 2^s, C) array, so ``block.transpose(1, 0, 2)`` is
+    free. ``bits`` is their (B, m) outcome matrix, ``x`` and ``z`` are
+    the (B,) X and Z masks of their recorded frames over the surviving
+    qubits (qubit 0 the most significant bit), and ``stubs`` holds the
+    outcome strings of the zero-norm prefixes whose subtrees were not
+    explored.
     """
 
     bits: np.ndarray
@@ -114,10 +132,22 @@ def _bit_strings(bits: np.ndarray) -> list[str]:
     return chars.view(f"S{bits.shape[1]}")[:, 0].astype(str).tolist()
 
 
-def _walk(circuit: Circuit, block: np.ndarray) -> _Walk:
+def row_order(circuit: Circuit) -> tuple[int, ...]:
+    """The qubit of each row bit of the walk, most significant first: the
+    measured qubits in measurement order, then the survivors ascending."""
+    return circuit.measured_qubits + circuit.surviving_qubits
+
+
+def _walk(circuit: Circuit, block: np.ndarray, *,
+          in_row_order: bool = False) -> _Walk:
     """Run every measurement branch of the circuit on all columns of
     ``block`` at once, breadth first: one array holds every live outcome
     prefix, and each operation is one step over all of them.
+
+    ``block`` is the (2^n, C) start, its rows in ascending qubit order;
+    the walk works on a copy in ``row_order``. With ``in_row_order``,
+    the rows are in ``row_order`` already and the walk takes ``block``
+    over and works on it in place.
 
     Every basis flip, conditional gate and frame update depends on the
     outcome prefix alone, so one prefix serves every column. A condition
@@ -128,8 +158,12 @@ def _walk(circuit: Circuit, block: np.ndarray) -> _Walk:
     most ``PROB_FLOOR`` ends as a stub.
     """
     survivors = circuit.surviving_qubits
-    alive = list(range(circuit.num_qubits))
-    block = np.array(block[:, None, :])  # (2^k, B, C), owned by the walk
+    alive = list(row_order(circuit))
+    n, cols = circuit.num_qubits, block.shape[1]
+    if not in_row_order:
+        block = np.array(block.reshape((2,) * n + (cols,))
+                         .transpose(alive + [n]), order="C")
+    block = np.reshape(block, (1, 1 << n, cols), copy=False)  # (B, 2^k, C)
     bits = np.zeros((1, 0), dtype=bool)
     x, z = np.zeros((2, 1), dtype=np.int64)
     # per prefix, the first frame update on a qubit that is measured later
@@ -142,13 +176,14 @@ def _walk(circuit: Circuit, block: np.ndarray) -> _Walk:
         return np.broadcast_to(np.asarray(val, dtype=bool), (len(bits),))
 
     def apply(name: str, qubits, where: np.ndarray) -> None:
-        nonlocal block
         pos = [alive.index(q) for q in qubits]
         if where.all():
-            block = apply_gate(block, name, pos, len(alive))
+            apply_in_place(block, GATES[name], pos, len(alive))
         elif where.any():
-            block[:, where] = apply_gate(block[:, where], name, pos,
-                                         len(alive))
+            chosen = np.flatnonzero(where)
+            part = block[chosen]
+            apply_in_place(part, GATES[name], pos, len(alive))
+            block[chosen] = part
 
     for index, op in enumerate(circuit.operations):
         if isinstance(op, Gate):
@@ -166,26 +201,25 @@ def _walk(circuit: Circuit, block: np.ndarray) -> _Walk:
         else:
             apply("H", (op.qubit,),
                   selected(op.flip_basis_if) ^ (op.basis == "x"))
-            pos, k = alive.index(op.qubit), len(alive)
-            _, count, cols = block.shape
-            block = block.reshape(1 << pos, 2, 1 << (k - 1 - pos), count,
-                                  cols).transpose(0, 2, 3, 1, 4)
-            block = block.reshape(1 << (k - 1), 2 * count, cols)
+            # the measured qubit is the most significant row bit
+            count, rows, _ = block.shape
+            block = np.reshape(block, (2 * count, rows // 2, cols),
+                               copy=False)
             bits = np.column_stack((np.repeat(bits, 2, axis=0),
                                     np.tile((False, True), count)))
             x, z, bad = (np.repeat(v, 2) for v in (x, z, bad))
             parts = block.view(np.float64)  # real and imaginary parts
-            live = np.einsum("rbc,rbc->b", parts, parts) > PROB_FLOOR
+            live = np.einsum("brc,brc->b", parts, parts) > PROB_FLOOR
             if not live.all():
                 stubs += _bit_strings(bits[~live])
-                block, bits = block[:, live], bits[live]
+                block, bits = block[live], bits[live]
                 x, z, bad = x[live], z[live], bad[live]
-            alive.pop(pos)
+            alive.pop(0)
             keys.append(op.key)
     if (bad >= 0).any():
         qubit = circuit.operations[bad[bad >= 0][0]].qubit
         raise ValueError(f"frame update on measured qubit {qubit}")
-    return _Walk(bits, block, x, z, stubs)
+    return _Walk(bits, block.transpose(1, 0, 2), x, z, stubs)
 
 
 def enumerate_branches(circuit: Circuit,
@@ -200,7 +234,9 @@ def enumerate_branches(circuit: Circuit,
     """
     if input_state is not None and input_state.ndim != 1:
         raise ValueError("input state must be one vector")
-    walk = _walk(circuit, initial_vector(circuit, input_state)[:, None])
+    walk = _walk(circuit, initial_vector(circuit, input_state,
+                                         row_order(circuit))[:, None],
+                 in_row_order=True)
     survivors = circuit.surviving_qubits
     keys = circuit.measurement_keys
     amps = np.ascontiguousarray(walk.block[:, :, 0].T)
@@ -269,9 +305,15 @@ def kraus_operators(circuit: Circuit, output_qubits: tuple[int, ...]
             f"{circuit.num_qubits} qubits with {k} inputs exceed the cap "
             f"of {MAX_KRAUS_VALUES} values for the Kraus walk")
     walk = _walk(circuit, initial_vector(
-        circuit, np.eye(1 << k, dtype=np.complex128)))
-    count, n = walk.block.shape[1], len(survivors)
-    kraus = apply_pauli(walk.block.transpose(1, 0, 2), walk.x, walk.z)
+        circuit, np.eye(1 << k, dtype=np.complex128), row_order(circuit)),
+        in_row_order=True)
+    kraus = walk.block.transpose(1, 0, 2)  # the walk's own array
+    count, n = len(kraus), len(survivors)
+    # the frames, a slice of at most 2^16 values at a time, written back
+    step = max(1, (1 << 16) // kraus[0].size)
+    for at in range(0, count, step):
+        part = slice(at, at + step)
+        kraus[part] = apply_pauli(kraus[part], walk.x[part], walk.z[part])
     perm = [survivors.index(q) for q in output_qubits]
     kraus = kraus.reshape((count,) + (2,) * n + (1 << k,))
     kraus = kraus.transpose([0] + [1 + p for p in perm] + [n + 1])
@@ -321,20 +363,20 @@ def check_channel(circuit: Circuit, unitary: np.ndarray, *,
     if inputs is None:
         inputs = basis_inputs(k)
 
+    # Every error depends on the bytes of K_r alone, so each distinct
+    # operator is checked once and its errors shared by its group.
+    reps, group = _distinct_rows(kraus)
+    size = np.bincount(group)
+    distinct = kraus[reps]
+
     # Scale each K_r to the weight of one unit input, so its distance
     # from c_r U reads as an amplitude error of a normalized branch.
-    weight = np.einsum("rdc,rdc->r", kraus.conj(), kraus).real
-    scaled = kraus * np.sqrt((1 << k) / weight)[:, None, None]
+    weight = np.einsum("rdc,rdc->r", distinct.conj(), distinct).real
+    scaled = distinct * np.sqrt((1 << k) / weight)[:, None, None]
     coeff = np.einsum("dc,rdc->r", unitary.conj(), scaled) \
         / np.vdot(unitary, unitary).real
     errs = np.abs(scaled - coeff[:, None, None] * unitary).max(axis=(1, 2))
 
-    # An input's error through K_r depends on the bytes of K_r alone, so
-    # each distinct operator is run once and its result shared.
-    reps, group = _distinct_rows(kraus)
-    size = np.bincount(group)
-    distinct = kraus[reps]
-    input_errs = np.zeros(len(reps))
     checked = 0
     for _, state in inputs:
         expected = unitary @ state
@@ -343,15 +385,16 @@ def check_channel(circuit: Circuit, unitary: np.ndarray, *,
         seen = probs > PROB_FLOOR
         actual = actual[seen] / np.sqrt(probs[seen])[:, None]
         phase = np.exp(1j * np.angle(actual @ expected.conj()))
-        input_errs[seen] = np.maximum(
-            input_errs[seen],
+        errs[seen] = np.maximum(
+            errs[seen],
             np.abs(actual - phase[:, None] * expected).max(axis=1))
         checked += int(size[seen].sum())
-    errs = np.maximum(errs, input_errs[group])
+    errs = errs[group]
 
     failures = [f"branch {bits[r]}: max amplitude error {errs[r]:.3e}"
                 for r in np.nonzero(errs > ATOL)[0]]
-    gram = np.einsum("rdi,rdj->ij", kraus.conj(), kraus)
+    # the sum over all R operators, as size_g K_g^dagger K_g per group
+    gram = np.einsum("r,rdi,rdj->ij", size, distinct.conj(), distinct)
     incomplete = float(np.abs(gram - np.eye(1 << k)).max())
     if incomplete > ATOL:
         failures.append("sum of K_r^dagger K_r differs from the identity "

@@ -19,7 +19,8 @@ from latticeplan.circuits.gates import GATE_ARITY, apply_pauli
 from latticeplan.circuits.simulate import (ATOL, PROB_FLOOR, ChannelReport,
                                            _bit_strings, _walk, basis_inputs,
                                            initial_vector, input_qubits_of,
-                                           kraus_operators, random_inputs)
+                                           kraus_operators, random_inputs,
+                                           row_order)
 from latticeplan.constructions import CONSTRUCTIONS, verify_construction
 from latticeplan.exceptions import CapacityError, ContractError
 
@@ -230,6 +231,28 @@ def test_kraus_width_cap_raises_before_allocating():
     assert peak < 1 << 20
 
 
+def test_walk_runs_in_place():
+    """The mux-skip walk works on its own 4 MiB block (2^18 values): it
+    adds at most the half block that an H saves, where a fresh block per
+    gate would add a whole one. Its channel check peaks under three
+    blocks; with the copying walk and the ungrouped check it took 17.6
+    MiB."""
+    c = CONSTRUCTIONS["mux-skip"]()
+    start = initial_vector(c.circuit, np.eye(4, dtype=np.complex128),
+                           row_order(c.circuit))
+    tracemalloc.start()
+    try:
+        _walk(c.circuit, start, in_row_order=True)
+        walk_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        check_channel(c.circuit, c.target, output_qubits=c.output_qubits)
+        check_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walk_peak < 0.75 * start.nbytes
+    assert check_peak < 3 * start.nbytes
+
+
 def test_check_channel_detects_wrong_unitary():
     c = Circuit(num_qubits=1, operations=(Gate("X", (0,)),),
                 initial_states=("?",))
@@ -405,6 +428,22 @@ def _reference_live(circuit, leaves):
 # in a (2, 4) block than in two (2, 2) blocks
 @example(Circuit(3, (Measure(1, "m0", "z", TRUE), Gate("I", (0,)),
                      Gate("T", (0,))), ("?", "0", "0")), 1)
+# q2 is measured before q0, so the walk's rows are not in qubit order
+@example(Circuit(3, (Gate("CX", (0, 2)), Gate("H", (1,)), Measure(2, "m0"),
+                     Gate("T", (1,)), Measure(0, "m1", "x")),
+                 ("?", "?", "+")), 2)
+# conditional gates that select one and two of the four prefixes
+@example(Circuit(4, (Measure(1, "m0"), Measure(2, "m1"),
+                     CGate("S", (0,), (("m0", "m1"),)),
+                     CGate("CX", (3, 0), (("m0",), ("m1",)))),
+                 ("?", "+", "+", "?")), 3)
+# an x-basis measurement that the first outcome flips to z
+@example(Circuit(3, (Gate("H", (1,)), Measure(1, "m0"), Gate("CX", (0, 2)),
+                     Measure(0, "m1", "x", (("m0",),))),
+                 ("?", "0", "0")), 4)
+# zero-norm stubs "01" and "10", one under each first outcome
+@example(Circuit(3, (Measure(2, "m0"), CGate("X", (1,), (("m0",),)),
+                     Measure(1, "m1")), ("?", "0", "+")), 5)
 def test_walk_matches_reference(circuit, seed):
     k = len(input_qubits_of(circuit))
     psi = random_state(k, np.random.default_rng(seed))

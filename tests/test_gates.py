@@ -16,7 +16,7 @@ from latticeplan.circuits import (GATES, MAX_QUBITS, Circuit, Measure,
                                   check_channel, enumerate_branches,
                                   kron_with_ancillas, plus_state,
                                   random_state)
-from latticeplan.circuits.gates import GATE_ARITY
+from latticeplan.circuits.gates import GATE_ARITY, apply_in_place
 from latticeplan.exceptions import CapacityError
 
 
@@ -141,12 +141,22 @@ def _random_unitary(k, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def _walsh(k, rng):
+    """A k-qubit Walsh-Hadamard matrix with random row signs: every row
+    dense and of one real magnitude."""
+    u = np.ones((1, 1), dtype=np.complex128)
+    for _ in range(k):
+        u = np.kron(u, GATES["H"])
+    return u * rng.choice((-1, 1), size=(1 << k, 1))
+
+
 @st.composite
 def _gate_cases(draw):
     n = draw(st.integers(1, 6))
     name = draw(st.sampled_from(
-        [g for g, a in sorted(GATE_ARITY.items()) if a <= n] + ["dense"]))
-    k = draw(st.integers(1, min(3, n))) if name == "dense" \
+        [g for g, a in sorted(GATE_ARITY.items()) if a <= n]
+        + ["dense", "walsh"]))
+    k = draw(st.integers(1, min(3, n))) if name in ("dense", "walsh") \
         else GATE_ARITY[name]
     qubits = tuple(draw(st.permutations(range(n)))[:k])
     return n, name, qubits, draw(st.integers(1, 3)), draw(st.booleans())
@@ -158,8 +168,8 @@ def _gate_cases(draw):
 def test_apply_unitary_matches_dense_kron(case, seed):
     n, name, qubits, ndim, strided = case
     rng = np.random.default_rng(seed)
-    u = _random_unitary(len(qubits), rng) if name == "dense" \
-        else GATES[name]
+    made = {"dense": _random_unitary, "walsh": _walsh}
+    u = made[name](len(qubits), rng) if name in made else GATES[name]
     shape = (1 << n, 5, 2)[:ndim]
     vec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     if ndim > 1:
@@ -181,6 +191,28 @@ def test_apply_unitary_matches_dense_kron(case, seed):
         column = vec.reshape(1 << n, -1)[:, c]
         assert np.array_equal(apply_unitary(column, u, qubits, n),
                               got.reshape(1 << n, -1)[:, c])
+
+    # The in-place kernel on a (B, 2^n, C) batch, as the walk holds its
+    # block, and on a gathered sub-batch scattered back, as the walk runs
+    # a conditional gate: every register and column rounds as
+    # apply_unitary rounds it alone.
+    shape = (4, 1 << n, 3)
+    batch = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    whole = batch.copy()
+    apply_in_place(whole, u, qubits, n)
+    some = batch.copy()
+    chosen = np.array([0, 3])
+    part = some[chosen]
+    apply_in_place(part, u, qubits, n)
+    some[chosen] = part
+    for b in range(shape[0]):
+        if set(np.unique(u)) <= {-1, 0, 1}:
+            assert np.array_equal(whole[b], _dense(u, qubits, n) @ batch[b])
+        for c in range(shape[2]):
+            want = apply_unitary(batch[b, :, c], u, qubits, n)
+            assert np.array_equal(whole[b, :, c], want)
+            assert np.array_equal(some[b, :, c],
+                                  want if b in chosen else batch[b, :, c])
 
 
 def test_apply_gate_validation():
