@@ -257,28 +257,22 @@ def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def kron_with_ancillas(data: np.ndarray, data_qubits: Sequence[int],
-                       ancilla_bits: dict[int, str], n: int,
-                       rows: Sequence[int] | None = None) -> np.ndarray:
+                       ancilla_bits: dict[int, str], n: int) -> np.ndarray:
     """Embed ``data`` on ``data_qubits`` into an n-qubit register whose
     remaining qubits start in the given computational/plus basis states.
 
     ``ancilla_bits`` maps qubit index to "0", "1", or "+". A trailing
-    column axis of ``data`` is kept: each column is embedded. ``rows``
-    names the qubit of each row bit, most significant first (default
-    ascending).
+    column axis of ``data`` is kept: each column is embedded.
 
-    Each row is the product of its ancilla amplitudes, taken in row
-    order, times the data row that its data bits index: one gather and
-    one product over the register, with no transpose.
+    Each row is the product of its ancilla amplitudes, in qubit order,
+    times the data row that its data bits index: one gather and one
+    product over the register, with no transpose.
     """
     if sorted(list(data_qubits) + list(ancilla_bits)) != list(range(n)):
         raise ValueError("data and ancilla qubits must partition the register")
-    rows = list(range(n)) if rows is None else list(rows)
-    if sorted(rows) != list(range(n)):
-        raise ValueError(f"row order {rows!r} is not a permutation")
     weight = np.ones(1, dtype=np.complex128)
     index = np.zeros(1, dtype=np.intp)
-    for q in rows:
+    for q in range(n):
         if q in ancilla_bits:
             spec = ancilla_bits[q]
             if spec == "+":

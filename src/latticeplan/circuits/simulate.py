@@ -10,9 +10,9 @@ with the 0 outcome first, keeping the prefixes in lexicographic order.
 The walk works on one block of shape (B, rows, C) in place. Its rows
 hold the measured qubits first, in measurement order with the first one
 measured as the most significant bit, then the survivors in ascending
-order (``row_order``); a circuit never touches a qubit after measuring
-it, so this order is fixed before the walk starts, and the start block
-is built in it. Each measurement then splits off the most significant
+order; a circuit never touches a qubit after measuring it, so this order
+is fixed before the walk starts, and the walk's copy of the start block
+is gathered in it. Each measurement then splits off the most significant
 row bit by a reshape that copies nothing: (B, 2, rows/2, C) becomes
 (2B, rows/2, C). Every gate runs in place (``gates.apply_in_place``),
 writing only the sub-blocks it changes; a conditional gate runs on the
@@ -46,7 +46,7 @@ ATOL = 1e-9
 # values: a measurement halves the rows and at most doubles the prefixes.
 # The constructions need at most 2^18 values, and 2^22 take 64 MiB. The
 # walk works on that one block in place; the channel check of mux-skip
-# (2^18 values, 4 MiB) peaks at 9.8 MiB of numpy memory.
+# (2^18 values, 4 MiB) peaks at 10.7 MiB of numpy memory.
 MAX_KRAUS_VALUES = 1 << 22
 
 
@@ -78,11 +78,10 @@ def input_qubits_of(circuit: Circuit) -> tuple[int, ...]:
     return tuple(q for q, s in enumerate(circuit.initial_states) if s == "?")
 
 
-def initial_vector(circuit: Circuit, input_state: np.ndarray | None,
-                   rows: Sequence[int] | None = None) -> np.ndarray:
+def initial_vector(circuit: Circuit,
+                   input_state: np.ndarray | None) -> np.ndarray:
     """The register at the start of the circuit. A ``(2^k, C)`` input
-    gives C registers side by side, one per column. ``rows`` names the
-    qubit of each row bit, most significant first (default ascending)."""
+    gives C registers side by side, one per column."""
     n = circuit.num_qubits
     if n > MAX_QUBITS:
         raise CapacityError(f"{n} qubits exceeds the cap of {MAX_QUBITS}")
@@ -94,12 +93,10 @@ def initial_vector(circuit: Circuit, input_state: np.ndarray | None,
         if input_state.shape[:1] != (1 << len(data_qubits),):
             raise ValueError("input state has wrong dimension")
         ancillas = {q: s for q, s in enumerate(inits) if s != "?"}
-        return kron_with_ancillas(input_state, data_qubits, ancillas, n,
-                                  rows)
+        return kron_with_ancillas(input_state, data_qubits, ancillas, n)
     if input_state is not None:
         raise ValueError("circuit has no input qubits")
-    return kron_with_ancillas(basis_state(""), (), dict(enumerate(inits)), n,
-                              rows)
+    return kron_with_ancillas(basis_state(""), (), dict(enumerate(inits)), n)
 
 
 class _Walk(NamedTuple):
@@ -132,22 +129,14 @@ def _bit_strings(bits: np.ndarray) -> list[str]:
     return chars.view(f"S{bits.shape[1]}")[:, 0].astype(str).tolist()
 
 
-def row_order(circuit: Circuit) -> tuple[int, ...]:
-    """The qubit of each row bit of the walk, most significant first: the
-    measured qubits in measurement order, then the survivors ascending."""
-    return circuit.measured_qubits + circuit.surviving_qubits
-
-
-def _walk(circuit: Circuit, block: np.ndarray, *,
-          in_row_order: bool = False) -> _Walk:
+def _walk(circuit: Circuit, block: np.ndarray) -> _Walk:
     """Run every measurement branch of the circuit on all columns of
     ``block`` at once, breadth first: one array holds every live outcome
     prefix, and each operation is one step over all of them.
 
-    ``block`` is the (2^n, C) start, its rows in ascending qubit order;
-    the walk works on a copy in ``row_order``. With ``in_row_order``,
-    the rows are in ``row_order`` already and the walk takes ``block``
-    over and works on it in place.
+    ``block`` is the (2^n, C) start, its rows in ascending qubit order.
+    The walk's own copy of it takes the rows in the walk's order (see the
+    module docstring), by one gather.
 
     Every basis flip, conditional gate and frame update depends on the
     outcome prefix alone, so one prefix serves every column. A condition
@@ -158,12 +147,13 @@ def _walk(circuit: Circuit, block: np.ndarray, *,
     most ``PROB_FLOOR`` ends as a stub.
     """
     survivors = circuit.surviving_qubits
-    alive = list(row_order(circuit))
+    alive = list(circuit.measured_qubits + survivors)  # row bits, MSB first
     n, cols = circuit.num_qubits, block.shape[1]
-    if not in_row_order:
-        block = np.array(block.reshape((2,) * n + (cols,))
-                         .transpose(alive + [n]), order="C")
-    block = np.reshape(block, (1, 1 << n, cols), copy=False)  # (B, 2^k, C)
+    source = np.zeros(1, dtype=np.intp)  # the start row of each row
+    for q in alive:
+        source = np.add.outer(source, (0, 1 << (n - 1 - q))).ravel()
+    block = block.take(source, axis=0)[None]  # (B, 2^k, C), B = 1
+    del source
     bits = np.zeros((1, 0), dtype=bool)
     x, z = np.zeros((2, 1), dtype=np.int64)
     # per prefix, the first frame update on a qubit that is measured later
@@ -234,9 +224,7 @@ def enumerate_branches(circuit: Circuit,
     """
     if input_state is not None and input_state.ndim != 1:
         raise ValueError("input state must be one vector")
-    walk = _walk(circuit, initial_vector(circuit, input_state,
-                                         row_order(circuit))[:, None],
-                 in_row_order=True)
+    walk = _walk(circuit, initial_vector(circuit, input_state)[:, None])
     survivors = circuit.surviving_qubits
     keys = circuit.measurement_keys
     amps = np.ascontiguousarray(walk.block[:, :, 0].T)
@@ -305,15 +293,9 @@ def kraus_operators(circuit: Circuit, output_qubits: tuple[int, ...]
             f"{circuit.num_qubits} qubits with {k} inputs exceed the cap "
             f"of {MAX_KRAUS_VALUES} values for the Kraus walk")
     walk = _walk(circuit, initial_vector(
-        circuit, np.eye(1 << k, dtype=np.complex128), row_order(circuit)),
-        in_row_order=True)
-    kraus = walk.block.transpose(1, 0, 2)  # the walk's own array
-    count, n = len(kraus), len(survivors)
-    # the frames, a slice of at most 2^16 values at a time, written back
-    step = max(1, (1 << 16) // kraus[0].size)
-    for at in range(0, count, step):
-        part = slice(at, at + step)
-        kraus[part] = apply_pauli(kraus[part], walk.x[part], walk.z[part])
+        circuit, np.eye(1 << k, dtype=np.complex128)))
+    count, n = walk.block.shape[1], len(survivors)
+    kraus = apply_pauli(walk.block.transpose(1, 0, 2), walk.x, walk.z)
     perm = [survivors.index(q) for q in output_qubits]
     kraus = kraus.reshape((count,) + (2,) * n + (1 << k,))
     kraus = kraus.transpose([0] + [1 + p for p in perm] + [n + 1])
