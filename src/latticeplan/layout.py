@@ -546,13 +546,15 @@ def export_floorplan(plan: Floorplan, fmt: str) -> bytes:
 def _write_json_ints(values: tuple, fh) -> None:
     """Write a tuple of ints, or of equal-length int tuples, as
     `json.dumps(indent=1)` lays it out under a top-level key. Anything
-    else (no values, negative ones, ones past int64, ragged tuples) goes
-    through `json.dumps` itself."""
+    else (no values, negative ones, ones past int64, bools, ragged
+    tuples) goes through `json.dumps` itself."""
     try:
         table = np.array(values)
     except ValueError:  # ragged
         table = np.array(())
-    if table.dtype.kind != "i" or not table.size or table.min() < 0:
+    items = chain.from_iterable(values) if table.ndim == 2 else values
+    if table.dtype.kind != "i" or not table.size or table.min() < 0 \
+            or set(map(type, items)) != {int}:
         fh.write(json.dumps(values, indent=1).replace("\n", "\n ").encode())
         return
     if table.ndim == 1:

@@ -384,6 +384,14 @@ def test_json_annotations_match_reference(factories, boxes, lanes):
     assert L.import_floorplan(data) == plan
 
 
+def test_json_bool_annotations_match_reference():
+    # numpy takes bools for ints, json.dumps writes true and false (and
+    # import_floorplan refuses them)
+    plan = L.Floorplan(2, 1, 27, bytes(2), ((True, 1),), ((0, 1, 2, False),),
+                       (True, 3), {})
+    assert L.export_floorplan(plan, "json") == _ref_json(plan)
+
+
 def test_json_matches_reference(big_plan, small_plan, lookup_plan):
     for plan in (big_plan, small_plan, lookup_plan):
         assert L.export_floorplan(plan, "json") == _ref_json(plan)
