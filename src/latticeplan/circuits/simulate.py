@@ -153,7 +153,7 @@ def _walk(circuit: Circuit, block: np.ndarray) -> _Walk:
     for q in alive:
         source = np.add.outer(source, (0, 1 << (n - 1 - q))).ravel()
     block = block.take(source, axis=0)[None]  # (B, 2^k, C), B = 1
-    del source
+    del source  # not held through the walk
     bits = np.zeros((1, 0), dtype=bool)
     x, z = np.zeros((2, 1), dtype=np.int64)
     # per prefix, the first frame update on a qubit that is measured later

@@ -493,17 +493,15 @@ def write_floorplan(plan: Floorplan, fmt: str, fh) -> None:
             "meta": plan.meta,
         }
         rest = (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
-        values = [("factories", lambda: _write_json_ints(plan.factories, fh)),
-                  ("fixup_boxes",
-                   lambda: _write_json_ints(plan.fixup_boxes, fh)),
-                  ("grid", lambda: _write_json_grid(plan, fh)),
-                  ("lanes", lambda: _write_json_ints(plan.lanes, fh))]
-        for key, write in values:
+        for key in ("factories", "fixup_boxes", "grid", "lanes"):
             if key == "grid" and not plan.grid:
                 continue
             head, rest = rest.split(f'"{key}": []'.encode(), 1)
             fh.write(head + f'"{key}": '.encode())
-            write()
+            if key == "grid":
+                _write_json_grid(plan, fh)
+            else:
+                _write_json_ints(getattr(plan, key), fh)
         fh.write(rest)
     elif fmt == "svg":
         w, h = plan.width * _CELL, plan.height * _CELL
@@ -553,8 +551,8 @@ def _write_json_ints(values: tuple, fh) -> None:
     except ValueError:  # ragged
         table = np.array(())
     items = chain.from_iterable(values) if table.ndim == 2 else values
-    if table.dtype.kind != "i" or not table.size or table.min() < 0 \
-            or set(map(type, items)) != {int}:
+    if table.dtype.kind != "i" or set(map(type, items)) != {int} \
+            or table.min() < 0:
         fh.write(json.dumps(values, indent=1).replace("\n", "\n ").encode())
         return
     if table.ndim == 1:
