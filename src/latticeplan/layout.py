@@ -477,32 +477,28 @@ def write_floorplan(plan: Floorplan, fmt: str, fh) -> None:
     outline rect per factory. Tiles go out one `bytefmt.chunks` slice at
     a time, so no text of the whole plan is ever held."""
     if fmt == "json":
-        # The long values stand as empty-list placeholders in the text of
-        # the document, and their own writers replace them. A plan without
-        # tiles has only empty rows, which are written as they are. Every
-        # key before a placeholder holds a placeholder or a number, so the
-        # first match of a key is its own.
+        # a plan without tiles has only empty rows; otherwise "grid" holds
+        # a placeholder that the tile lines replace
         doc = {
             "width": plan.width,
             "height": plan.height,
             "patch_distance": plan.patch_distance,
             "grid": [] if plan.grid else [[]] * plan.height,
-            "factories": [],
-            "fixup_boxes": [],
-            "lanes": [],
+            "factories": [list(f) for f in plan.factories],
+            "fixup_boxes": [list(b) for b in plan.fixup_boxes],
+            "lanes": list(plan.lanes),
             "meta": plan.meta,
         }
-        rest = (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
-        for key in ("factories", "fixup_boxes", "grid", "lanes"):
-            if key == "grid" and not plan.grid:
-                continue
-            head, rest = rest.split(f'"{key}": []'.encode(), 1)
-            fh.write(head + f'"{key}": '.encode())
-            if key == "grid":
-                _write_json_grid(plan, fh)
-            else:
-                _write_json_ints(getattr(plan, key), fh)
-        fh.write(rest)
+        text = (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
+        if not plan.grid:
+            fh.write(text)
+            return
+        # "factories" and "fixup_boxes", the keys before it, hold only
+        # numbers, so the first match is the placeholder
+        head, tail = text.split(b'"grid": []', 1)
+        fh.write(head + b'"grid": ')
+        _write_json_grid(plan, fh)
+        fh.write(tail)
     elif fmt == "svg":
         w, h = plan.width * _CELL, plan.height * _CELL
         fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
@@ -539,36 +535,6 @@ def export_floorplan(plan: Floorplan, fmt: str) -> bytes:
     buf = io.BytesIO()
     write_floorplan(plan, fmt, buf)
     return buf.getvalue()
-
-
-def _write_json_ints(values: tuple, fh) -> None:
-    """Write a tuple of ints, or of equal-length int tuples, as
-    `json.dumps(indent=1)` lays it out under a top-level key. Anything
-    else (no values, negative ones, ones past int64, bools, ragged
-    tuples) goes through `json.dumps` itself."""
-    try:
-        table = np.array(values)
-    except ValueError:  # ragged
-        table = np.array(())
-    items = chain.from_iterable(values) if table.ndim == 2 else values
-    if table.dtype.kind != "i" or set(map(type, items)) != {int} \
-            or table.min() < 0:
-        fh.write(json.dumps(values, indent=1).replace("\n", "\n ").encode())
-        return
-    if table.ndim == 1:
-        item = [b"  ", table]
-    else:
-        item = [b"  [\n   "]
-        for column in table.T:
-            item += [column, b",\n   "]
-        item[-1] = b"\n  ]"
-    ends = np.full(len(table), ",\n")
-    ends[-1] = "\n"
-    fh.write(b"[\n")
-    for part in chunks(len(table)):
-        fh.write(squeeze(byte_rows([p if isinstance(p, bytes) else p[part]
-                                    for p in item + [ends]])))
-    fh.write(b" ]")
 
 
 def _write_json_grid(plan: Floorplan, fh) -> None:

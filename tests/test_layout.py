@@ -368,30 +368,6 @@ def test_json_matches_reference_on_thin_grids(width, height):
     assert L.import_floorplan(data) == plan
 
 
-@pytest.mark.parametrize("factories,boxes,lanes", [
-    (((0, 1), (16, 1)), ((1, 2, 3, 4),), (15,)),
-    # values the array writer leaves to json.dumps: negative, past int64
-    (((-3, 1), (2, 10 ** 12)), ((0, 0, 0, 0),), (-1, 0)),
-    (((2 ** 70, 1),), (), (2 ** 64, 3)),
-    (tuple((16 * i, 1) for i in range(9000)),
-     tuple((i, i % 7, 3, 10 ** (i % 13)) for i in range(9000)),
-     tuple(range(15, 100000, 16))),
-])
-def test_json_annotations_match_reference(factories, boxes, lanes):
-    plan = L.Floorplan(2, 1, 27, bytes(2), factories, boxes, lanes, {})
-    data = L.export_floorplan(plan, "json")
-    assert data == _ref_json(plan)
-    assert L.import_floorplan(data) == plan
-
-
-def test_json_bool_annotations_match_reference():
-    # numpy takes bools for ints, json.dumps writes true and false (and
-    # import_floorplan refuses them)
-    plan = L.Floorplan(2, 1, 27, bytes(2), ((True, 1),), ((0, 1, 2, False),),
-                       (True, 3), {})
-    assert L.export_floorplan(plan, "json") == _ref_json(plan)
-
-
 def test_json_matches_reference(big_plan, small_plan, lookup_plan):
     for plan in (big_plan, small_plan, lookup_plan):
         assert L.export_floorplan(plan, "json") == _ref_json(plan)
