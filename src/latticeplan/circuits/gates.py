@@ -117,7 +117,7 @@ def apply_in_place(block: np.ndarray, u: np.ndarray, qubits: Sequence[int],
         shape += [1 << (q - prev - 1), 2]
         prev = q
     shape += [1 << (n - 1 - prev), -1]
-    view = np.reshape(block, shape, copy=False)
+    view = reshape_view(block, shape)
     axes = [2 * order.index(q) + 2 for q in qubits]
 
     def sub(t: np.ndarray, j: int) -> np.ndarray:
@@ -131,15 +131,19 @@ def apply_in_place(block: np.ndarray, u: np.ndarray, qubits: Sequence[int],
     source = [c[0] if len(c) == 1 else -1 for c in cols]
     if sorted(source) != list(range(dim)):
         # Row j overwrites sub-block j, so the sub-block is saved first if
-        # a later row reads it, or its own row after the two terms that
-        # _write_row reads before writing.
+        # a later row reads it; its own row passes it as ``target``.
         saved: dict[int, np.ndarray] = {}
         for j, row in enumerate(u):
             target = sub(view, j)
-            if u[j + 1:, j].any() or j in cols[j][2:]:
+            if u[j + 1:, j].any():
                 saved[j] = target.copy()
-            _write_row(target, [(row[i], saved[i] if i in saved
-                                 else sub(view, i)) for i in cols[j]])
+            terms = []
+            for i in cols[j]:
+                block_i = saved.get(i)
+                if block_i is None:
+                    block_i = target if i == j else sub(view, i)
+                terms.append((row[i], block_i))
+            _write_row(target, terms)
         return
     done = [False] * dim
     for start in range(dim):
@@ -163,12 +167,25 @@ def apply_in_place(block: np.ndarray, u: np.ndarray, qubits: Sequence[int],
             j = i
 
 
+def reshape_view(a: np.ndarray, shape) -> np.ndarray:
+    """``a`` reshaped to ``shape`` without a copy, as
+    ``np.reshape(a, shape, copy=False)`` does from NumPy 2.1 on. The
+    in-place kernels write through the view, so a silent copy would drop
+    their writes; an array that cannot be reshaped so is refused."""
+    view = a.reshape(shape)
+    if a.size and not np.may_share_memory(view, a):
+        raise ValueError(f"array of shape {a.shape} does not reshape to "
+                         f"{tuple(shape)} without a copy")
+    return view
+
+
 def _write_row(target: np.ndarray, terms: list) -> None:
     """Set ``target`` to the sum of coefficient x sub-block over
     ``terms``, elementwise, so that every amplitude is the same rounded
-    operations whatever the block's shape. The first two sub-blocks are
-    read before ``target`` is written, so either may be ``target``
-    itself; a later one must not be.
+    operations whatever the block's shape. A term's sub-block may be
+    ``target`` itself (the same object, not another view of it): the
+    first two terms are read before ``target`` is written, and a later
+    one that is ``target`` is copied first.
 
     Coefficients of one real magnitude are a chain of sums and
     differences, the first of them writing ``target``, followed by one
@@ -182,7 +199,8 @@ def _write_row(target: np.ndarray, terms: list) -> None:
     scale = abs(coeffs[0].real)
     if (coeffs.imag == 0).all() and (np.abs(coeffs.real) == scale).all():
         signs = coeffs.real > 0
-        blocks = [b for _, b in terms]
+        blocks = [b.copy() if i >= 2 and b is target else b
+                  for i, (_, b) in enumerate(terms)]
         if len(blocks) == 1:
             if signs[0]:
                 np.copyto(target, blocks[0])

@@ -38,7 +38,8 @@ from ..exceptions import CapacityError, ContractError
 from .circuit import (CGate, Circuit, FrameUpdate, Gate, TRUE,
                       evaluate_condition)
 from .gates import (GATES, MAX_QUBITS, apply_in_place, apply_pauli,
-                    basis_state, kron_with_ancillas, random_state)
+                    basis_state, kron_with_ancillas, random_state,
+                    reshape_view)
 
 PROB_FLOOR = 1e-12
 ATOL = 1e-9
@@ -193,8 +194,7 @@ def _walk(circuit: Circuit, block: np.ndarray) -> _Walk:
                   selected(op.flip_basis_if) ^ (op.basis == "x"))
             # the measured qubit is the most significant row bit
             count, rows, _ = block.shape
-            block = np.reshape(block, (2 * count, rows // 2, cols),
-                               copy=False)
+            block = reshape_view(block, (2 * count, rows // 2, cols))
             bits = np.column_stack((np.repeat(bits, 2, axis=0),
                                     np.tile((False, True), count)))
             x, z, bad = (np.repeat(v, 2) for v in (x, z, bad))

@@ -16,7 +16,8 @@ from latticeplan.circuits import (GATES, MAX_QUBITS, Circuit, Measure,
                                   check_channel, enumerate_branches,
                                   kron_with_ancillas, plus_state,
                                   random_state)
-from latticeplan.circuits.gates import GATE_ARITY, apply_in_place
+from latticeplan.circuits.gates import (GATE_ARITY, _write_row,
+                                        apply_in_place)
 from latticeplan.exceptions import CapacityError
 
 
@@ -213,6 +214,29 @@ def test_apply_unitary_matches_dense_kron(case, seed):
             assert np.array_equal(whole[b, :, c], want)
             assert np.array_equal(some[b, :, c],
                                   want if b in chosen else batch[b, :, c])
+
+
+def test_apply_in_place_refuses_rows_that_need_a_copy():
+    # columns every other one of four along one axis do not merge with
+    # the next axis without a copy, and the gate would be written to it
+    block = np.zeros((1, 2, 4, 2), dtype=np.complex128)[:, :, ::2]
+    with pytest.raises(ValueError, match="without a copy"):
+        apply_in_place(block, GATES["X"], (0,), 1)
+
+
+@pytest.mark.parametrize("signs", [(1, 1, 1), (1, -1, -1), (-1, -1, 1)])
+def test_write_row_reads_target_in_any_term(signs):
+    rng = np.random.default_rng(7)
+    a, b, t = (rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+               for _ in range(3))
+    for at in range(3):
+        blocks = [a, b]
+        blocks.insert(at, t)
+        want = sum(s * blk for s, blk in zip(signs, blocks))
+        target = t.copy()
+        blocks[at] = target
+        _write_row(target, list(zip(signs, blocks)))
+        assert np.allclose(target, want, atol=1e-15)
 
 
 def test_apply_gate_validation():
