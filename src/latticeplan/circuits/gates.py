@@ -8,8 +8,8 @@ output sub-block is written from the nonzero entries of its matrix row by
 copies, negations, sums and scalings, with no transposed copy and no BLAS
 call, so every amplitude is the same rounded operations however many
 registers and columns are carried along. A monomial gate (all but H)
-touches only the sub-blocks it changes: CZ negates one quarter of the
-block, CX swaps two quarters through one temporary.
+touches only the sub-blocks it changes, but the branch walk applies none
+of ``SIGNED_AFFINE`` (CX, CZ, ...): it gathers a run of them at once.
 
 ``apply_pauli`` is the one place a Pauli string X^x Z^z is applied, given
 as bit masks over the row index: each outcome's recorded frame in the
@@ -66,6 +66,15 @@ GATES: dict[str, np.ndarray] = {
 GATE_ARITY: dict[str, int] = {
     name: int(round(math.log2(mat.shape[0]))) for name, mat in GATES.items()
 }
+
+
+# Each gate that sends basis state j to plus or minus basis state
+# shift ^ images[l] ^ ... over the set bits l of j (bit 0 the most
+# significant), with -1 when j holds all bits of an odd number of the
+# monomials, as (images, shift, monomials). Each is its own inverse.
+SIGNED_AFFINE = {"I": ((1,), 0, ()), "X": ((1,), 1, ()), "Z": ((1,), 0, (1,)),
+                 "CX": ((3, 1), 0, ()), "CZ": ((2, 1), 0, (3,)),
+                 "SWAP": ((1, 2), 0, ()), "CCZ": ((4, 2, 1), 0, (7,))}
 
 
 def apply_unitary(vec: np.ndarray, u: np.ndarray, qubits: Sequence[int],
@@ -275,12 +284,14 @@ def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def kron_with_ancillas(data: np.ndarray, data_qubits: Sequence[int],
-                       ancilla_bits: dict[int, str], n: int) -> np.ndarray:
+                       ancilla_bits: dict[int, str], n: int,
+                       rows: np.ndarray | None = None) -> np.ndarray:
     """Embed ``data`` on ``data_qubits`` into an n-qubit register whose
     remaining qubits start in the given computational/plus basis states.
 
     ``ancilla_bits`` maps qubit index to "0", "1", or "+". A trailing
-    column axis of ``data`` is kept: each column is embedded.
+    column axis of ``data`` is kept: each column is embedded. ``rows``,
+    if given, lists the register rows to return, in their order.
 
     Each row is the product of its ancilla amplitudes, in qubit order,
     times the data row that its data bits index: one gather and one
@@ -305,6 +316,8 @@ def kron_with_ancillas(data: np.ndarray, data_qubits: Sequence[int],
             bit = 1 << (len(data_qubits) - 1 - list(data_qubits).index(q))
             weight = np.repeat(weight, 2)
             index = np.add.outer(index, (0, bit)).ravel()
+    if rows is not None:
+        index, weight = index[rows], weight[rows]
     out = data[index].astype(np.result_type(data, weight), copy=False)
     out *= weight.reshape((-1,) + (1,) * (data.ndim - 1))
     return out

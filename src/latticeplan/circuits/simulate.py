@@ -14,9 +14,12 @@ order; a circuit never touches a qubit after measuring it, so this order
 is fixed before the walk starts, and the walk's copy of the start block
 is gathered in it. Each measurement then splits off the most significant
 row bit by a reshape that copies nothing: (B, 2, rows/2, C) becomes
-(2B, rows/2, C). Every gate runs in place (``gates.apply_in_place``),
-writing only the sub-blocks it changes; a conditional gate runs on the
-prefixes it selects, gathered and scattered back.
+(2B, rows/2, C). A gate of ``gates.SIGNED_AFFINE`` (X, Z, CX, CZ, SWAP,
+CCZ) on every prefix joins a pending relabelling of the rows and a sign,
+applied by one gather and negation, which keep every byte, before any
+other operation; the first builds the block from the input. Any other
+gate runs in place (``gates.apply_in_place``), writing only the
+sub-blocks it changes, on the prefixes it selects.
 
 The walk carries a trailing column axis: with every basis input as a
 column, each live outcome string ends with the Kraus operator of that
@@ -37,9 +40,9 @@ import numpy as np
 from ..exceptions import CapacityError, ContractError
 from .circuit import (CGate, Circuit, FrameUpdate, Gate, TRUE,
                       evaluate_condition)
-from .gates import (GATES, MAX_QUBITS, apply_in_place, apply_pauli,
-                    basis_state, kron_with_ancillas, random_state,
-                    reshape_view)
+from .gates import (GATES, MAX_QUBITS, SIGNED_AFFINE, apply_in_place,
+                    apply_pauli, basis_state, kron_with_ancillas,
+                    random_state, reshape_view)
 
 PROB_FLOOR = 1e-12
 ATOL = 1e-9
@@ -47,7 +50,7 @@ ATOL = 1e-9
 # values: a measurement halves the rows and at most doubles the prefixes.
 # The constructions need at most 2^18 values, and 2^22 take 64 MiB. The
 # walk works on that one block in place; the channel check of mux-skip
-# (2^18 values, 4 MiB) peaks at 10.7 MiB of numpy memory.
+# (2^18 values, 4 MiB) peaks at 10.3 MiB of numpy memory.
 MAX_KRAUS_VALUES = 1 << 22
 
 
@@ -79,13 +82,11 @@ def input_qubits_of(circuit: Circuit) -> tuple[int, ...]:
     return tuple(q for q, s in enumerate(circuit.initial_states) if s == "?")
 
 
-def initial_vector(circuit: Circuit,
-                   input_state: np.ndarray | None) -> np.ndarray:
-    """The register at the start of the circuit. A ``(2^k, C)`` input
-    gives C registers side by side, one per column."""
+def initial_vector(circuit: Circuit, input_state: np.ndarray | None,
+                   rows: np.ndarray | None = None) -> np.ndarray:
+    """The register at the start of the circuit, or its ``rows`` if
+    given. A ``(2^k, C)`` input gives C registers side by side."""
     n = circuit.num_qubits
-    if n > MAX_QUBITS:
-        raise CapacityError(f"{n} qubits exceeds the cap of {MAX_QUBITS}")
     inits = circuit.initial_states or ("0",) * n
     data_qubits = tuple(q for q, s in enumerate(inits) if s == "?")
     if data_qubits:
@@ -93,11 +94,11 @@ def initial_vector(circuit: Circuit,
             raise ValueError("circuit has input qubits but no input given")
         if input_state.shape[:1] != (1 << len(data_qubits),):
             raise ValueError("input state has wrong dimension")
-        ancillas = {q: s for q, s in enumerate(inits) if s != "?"}
-        return kron_with_ancillas(input_state, data_qubits, ancillas, n)
-    if input_state is not None:
+    elif input_state is not None:
         raise ValueError("circuit has no input qubits")
-    return kron_with_ancillas(basis_state(""), (), dict(enumerate(inits)), n)
+    ancillas = {q: s for q, s in enumerate(inits) if s != "?"}
+    return kron_with_ancillas(basis_state("") if input_state is None
+                              else input_state, data_qubits, ancillas, n, rows)
 
 
 class _Walk(NamedTuple):
@@ -130,14 +131,23 @@ def _bit_strings(bits: np.ndarray) -> list[str]:
     return chars.view(f"S{bits.shape[1]}")[:, 0].astype(str).tolist()
 
 
-def _walk(circuit: Circuit, block: np.ndarray) -> _Walk:
-    """Run every measurement branch of the circuit on all columns of
-    ``block`` at once, breadth first: one array holds every live outcome
-    prefix, and each operation is one step over all of them.
+def _parities(forms: Sequence[tuple[int, int]], m: int) -> np.ndarray:
+    """For every i below 2^m, the bits parity(i & mask) ^ c of the (mask,
+    c) ``forms``, the first the most significant, built bit by bit of i."""
+    t = len(forms)
+    out = np.array([sum(c << (t - 1 - f) for f, (_, c) in enumerate(forms))])
+    for q in reversed(range(m)):
+        col = sum((mask >> (m - 1 - q) & 1) << (t - 1 - f)
+                  for f, (mask, _) in enumerate(forms))
+        out = np.concatenate((out, out ^ col))
+    return out
 
-    ``block`` is the (2^n, C) start, its rows in ascending qubit order.
-    The walk's own copy of it takes the rows in the walk's order (see the
-    module docstring), by one gather.
+
+def _walk(circuit: Circuit, input_state: np.ndarray | None) -> _Walk:
+    """Run every measurement branch of the circuit on all columns of the
+    (2^k, C) or (2^k,) ``input_state`` at once (None without input
+    qubits), breadth first: one array holds every live outcome prefix,
+    and each operation is one step over all of them.
 
     Every basis flip, conditional gate and frame update depends on the
     outcome prefix alone, so one prefix serves every column. A condition
@@ -146,15 +156,20 @@ def _walk(circuit: Circuit, block: np.ndarray) -> _Walk:
     children 2b and 2b + 1, which keeps the prefixes in lexicographic
     order; a child whose squared norm, summed over the columns, is at
     most ``PROB_FLOOR`` ends as a stub.
+
+    Between gathers row j of the state is (-1)^sign(i) times row i of
+    ``block`` (of the start, rows in qubit order, before the first): bit
+    p of j is form forms[p] of i, sign(i) the xor over ``terms`` of the
+    and of their forms, and form (mask, c) of i is parity(i & mask) ^ c.
     """
+    n = circuit.num_qubits
+    if n > MAX_QUBITS:
+        raise CapacityError(f"{n} qubits exceeds the cap of {MAX_QUBITS}")
     survivors = circuit.surviving_qubits
     alive = list(circuit.measured_qubits + survivors)  # row bits, MSB first
-    n, cols = circuit.num_qubits, block.shape[1]
-    source = np.zeros(1, dtype=np.intp)  # the start row of each row
-    for q in alive:
-        source = np.add.outer(source, (0, 1 << (n - 1 - q))).ravel()
-    block = block.take(source, axis=0)[None]  # (B, 2^k, C), B = 1
-    del source  # not held through the walk
+    block = None
+    forms = [(1 << (n - 1 - q), 0) for q in alive]
+    terms: list[list[tuple[int, int]]] = []
     bits = np.zeros((1, 0), dtype=bool)
     x, z = np.zeros((2, 1), dtype=np.int64)
     # per prefix, the first frame update on a qubit that is measured later
@@ -166,8 +181,44 @@ def _walk(circuit: Circuit, block: np.ndarray) -> _Walk:
         val = evaluate_condition(cond, dict(zip(keys, bits.T)))
         return np.broadcast_to(np.asarray(val, dtype=bool), (len(bits),))
 
+    def fold(pos: list[int], images, shift: int, monomials) -> None:
+        # the gate is its own inverse: j's bits at pos become its map of them
+        k, old = len(pos), [forms[p] for p in pos]
+        for i, p in enumerate(pos):
+            mask, c = 0, shift >> (k - 1 - i) & 1
+            for image, (mask_l, c_l) in zip(images, old):
+                if image >> (k - 1 - i) & 1:
+                    mask, c = mask ^ mask_l, c ^ c_l
+            forms[p] = (mask, c)
+        terms.extend([forms[p] for i, p in enumerate(pos)
+                      if mono >> (k - 1 - i) & 1] for mono in monomials)
+
+    def settle() -> None:
+        nonlocal block, forms, terms
+        m = len(alive)
+        identity = [(1 << (m - 1 - p), 0) for p in range(m)]
+        if block is not None and forms == identity and not terms:
+            return
+        src = np.empty(1 << m, dtype=np.intp)  # row i of each row j
+        src[_parities(forms, m)] = np.arange(1 << m)
+        if block is None:
+            block = reshape_view(initial_vector(circuit, input_state, src),
+                                 (1, 1 << m, -1))
+        else:  # half the prefixes, or of one prefix's columns, at a time
+            for view in np.array_split(block, 2, 0 if len(block) > 1 else 2):
+                view[...] = view.take(src, axis=1)
+        if terms:
+            odd = np.bitwise_xor.reduce([_parities(t, m) == (1 << len(t)) - 1
+                                         for t in terms])
+            np.negative(block, out=block, where=odd[src, None])
+        forms, terms = identity, []
+
     def apply(name: str, qubits, where: np.ndarray) -> None:
         pos = [alive.index(q) for q in qubits]
+        if name in SIGNED_AFFINE and where.all():
+            return fold(pos, *SIGNED_AFFINE[name])
+        if where.any():
+            settle()
         if where.all():
             apply_in_place(block, GATES[name], pos, len(alive))
         elif where.any():
@@ -190,11 +241,12 @@ def _walk(circuit: Circuit, block: np.ndarray) -> _Walk:
             else:
                 bad = np.where(where & (bad < 0), index, bad)
         else:
+            settle()
             apply("H", (op.qubit,),
                   selected(op.flip_basis_if) ^ (op.basis == "x"))
             # the measured qubit is the most significant row bit
-            count, rows, _ = block.shape
-            block = reshape_view(block, (2 * count, rows // 2, cols))
+            count, rows, width = block.shape
+            block = reshape_view(block, (2 * count, rows // 2, width))
             bits = np.column_stack((np.repeat(bits, 2, axis=0),
                                     np.tile((False, True), count)))
             x, z, bad = (np.repeat(v, 2) for v in (x, z, bad))
@@ -205,7 +257,9 @@ def _walk(circuit: Circuit, block: np.ndarray) -> _Walk:
                 block, bits = block[live], bits[live]
                 x, z, bad = x[live], z[live], bad[live]
             alive.pop(0)
+            forms = forms[1:]
             keys.append(op.key)
+    settle()
     if (bad >= 0).any():
         qubit = circuit.operations[bad[bad >= 0][0]].qubit
         raise ValueError(f"frame update on measured qubit {qubit}")
@@ -224,7 +278,7 @@ def enumerate_branches(circuit: Circuit,
     """
     if input_state is not None and input_state.ndim != 1:
         raise ValueError("input state must be one vector")
-    walk = _walk(circuit, initial_vector(circuit, input_state)[:, None])
+    walk = _walk(circuit, input_state)
     survivors = circuit.surviving_qubits
     keys = circuit.measurement_keys
     amps = np.ascontiguousarray(walk.block[:, :, 0].T)
@@ -273,15 +327,16 @@ class ChannelReport:
 
 
 def kraus_operators(circuit: Circuit, output_qubits: tuple[int, ...]
-                    ) -> tuple[list[str], np.ndarray, int]:
+                    ) -> tuple[np.ndarray, np.ndarray, int]:
     """Kraus operator of every outcome string, from one walk that carries
     all 2^k basis inputs as columns.
 
-    Returns the live outcome strings in lexicographic order, their
-    operators as an (R, 2^s, 2^k) array, each after its recorded frame
-    and with its rows reordered onto ``output_qubits``, and the number of
-    zero-norm prefixes left unexplored. Raises ContractError if the
-    surviving qubits are not exactly ``output_qubits``.
+    Returns the (R, m) bits of the live outcome strings in lexicographic
+    order, their operators as an (R, 2^s, 2^k) array, each after its
+    recorded frame and with its rows reordered onto ``output_qubits``,
+    and the number of zero-norm prefixes left unexplored. Raises
+    ContractError if the surviving qubits are not exactly
+    ``output_qubits``.
     """
     survivors = circuit.surviving_qubits
     if set(survivors) != set(output_qubits):
@@ -292,23 +347,32 @@ def kraus_operators(circuit: Circuit, output_qubits: tuple[int, ...]
         raise CapacityError(
             f"{circuit.num_qubits} qubits with {k} inputs exceed the cap "
             f"of {MAX_KRAUS_VALUES} values for the Kraus walk")
-    walk = _walk(circuit, initial_vector(
-        circuit, np.eye(1 << k, dtype=np.complex128)))
+    walk = _walk(circuit, np.eye(1 << k, dtype=np.complex128))
     count, n = walk.block.shape[1], len(survivors)
     kraus = apply_pauli(walk.block.transpose(1, 0, 2), walk.x, walk.z)
     perm = [survivors.index(q) for q in output_qubits]
     kraus = kraus.reshape((count,) + (2,) * n + (1 << k,))
     kraus = kraus.transpose([0] + [1 + p for p in perm] + [n + 1])
     kraus = np.ascontiguousarray(kraus.reshape(count, 1 << n, 1 << k))
-    return _bit_strings(walk.bits), kraus, len(walk.stubs)
+    return walk.bits, kraus, len(walk.stubs)
+
+
+def _row_hash(kraus: np.ndarray) -> np.ndarray:
+    """One float64 per operator of a contiguous (R, ...) array: its 32-bit
+    words, exact as floats, summed with fixed random weights."""
+    words = kraus.reshape(len(kraus), -1).view(np.int32)
+    weights = np.random.default_rng(0).random(words.shape[1]) + 0.5
+    return np.einsum("rw,w->r", words, weights)
 
 
 def _distinct_rows(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group the operators of a contiguous (R, ...) array by their bytes.
     Returns the index of one operator per group and the (R,) group
-    number of every operator."""
+    number of every operator. Equal bytes hash equal, so sorting by
+    ``_row_hash`` makes them neighbours, and a group starts at each byte
+    change: a hash collision can only split a group."""
     words = kraus.reshape(len(kraus), -1).view(np.uint64)
-    order = np.lexsort(words.T)
+    order = np.argsort(_row_hash(kraus))
     ordered = words[order]
     starts = np.ones(len(order), dtype=bool)
     starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
@@ -373,8 +437,9 @@ def check_channel(circuit: Circuit, unitary: np.ndarray, *,
         checked += int(size[seen].sum())
     errs = errs[group]
 
-    failures = [f"branch {bits[r]}: max amplitude error {errs[r]:.3e}"
-                for r in np.nonzero(errs > ATOL)[0]]
+    bad = np.flatnonzero(errs > ATOL)
+    failures = [f"branch {b}: max amplitude error {errs[r]:.3e}"
+                for r, b in zip(bad, _bit_strings(bits[bad]))]
     # the sum over all R operators, as size_g K_g^dagger K_g per group
     gram = np.einsum("r,rdi,rdj->ij", size, distinct.conj(), distinct)
     incomplete = float(np.abs(gram - np.eye(1 << k)).max())

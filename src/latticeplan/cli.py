@@ -148,9 +148,10 @@ def _cmd_verify(args) -> int:
             report = constructions.verify_construction(
                 constructions.CONSTRUCTIONS[name](),
                 random_count=args.random_count, seed=seed)
-            results.append((name, report.ok,
-                            f"{report.branches_checked} branches, "
-                            f"max err {report.max_amplitude_error:.1e}"))
+            results.append((name, report.ok, "; ".join(
+                [f"{report.branches_checked} branches, "
+                 f"max err {report.max_amplitude_error:.1e}",
+                 *report.failures[:1]])))
         elif (bits := _adder_bits(name)) is not None:
             ok, msg = constructions.verify_adder(bits)
             results.append((name, ok, msg))

@@ -15,7 +15,8 @@ from latticeplan.circuits import (CGate, Circuit, FrameUpdate, Gate, Measure,
                                   evaluate_condition, parse_condition,
                                   random_state)
 from latticeplan.circuits import simulate
-from latticeplan.circuits.gates import GATE_ARITY, apply_pauli
+from latticeplan.circuits.gates import (GATE_ARITY, GATES, apply_in_place,
+                                        apply_pauli)
 from latticeplan.circuits.simulate import (ATOL, PROB_FLOOR, ChannelReport,
                                            _bit_strings, _walk, basis_inputs,
                                            initial_vector, input_qubits_of,
@@ -185,14 +186,14 @@ def test_frame_update_on_qubit_measured_later():
             for b in enumerate_branches(quiet, basis_state("0"))] == \
         [("00", False), ("01", True), ("1", True)]
     bits, _, stubs = kraus_operators(quiet, ())
-    assert (bits, stubs) == (["00", "01"], 1)
+    assert (_bit_strings(bits), stubs) == (["00", "01"], 1)
 
 
 def test_unnormalized_is_sqrt_p_times_state():
     # the walk's unnormalized output of each branch is sqrt(p) times the
     # branch's normalized amplitudes
     c = _plus_measure()
-    walk = _walk(c, initial_vector(c, None)[:, None])
+    walk = _walk(c, None)
     for r, b in enumerate(enumerate_branches(c)):
         assert np.allclose(walk.block[:, r, 0],
                            np.sqrt(b.probability) * b.amplitudes)
@@ -231,16 +232,17 @@ def test_kraus_width_cap_raises_before_allocating():
 
 
 def test_walk_runs_in_place():
-    """The mux-skip walk works in place on its own copy of the 4 MiB
-    start block (2^18 values): past that copy it adds at most the half
-    block that an H saves, where a fresh block per gate would add a whole
-    one. Its channel check peaks under three blocks; with the copying
-    walk and the ungrouped check it took 17.6 MiB."""
+    """The mux-skip walk works in place on the one 4 MiB block (2^18
+    values) it builds from the inputs: past that block it adds at most
+    about half a block (the half that an H saves, or a gather of half the
+    prefixes), where a fresh block per gate would add a whole one. Its
+    channel check peaks under three blocks; with the copying walk and the
+    ungrouped check it took 17.6 MiB."""
     c = CONSTRUCTIONS["mux-skip"]()
     start = initial_vector(c.circuit, np.eye(4, dtype=np.complex128))
     tracemalloc.start()
     try:
-        _walk(c.circuit, start)
+        _walk(c.circuit, np.eye(4, dtype=np.complex128))
         walk_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         check_channel(c.circuit, c.target, output_qubits=c.output_qubits)
@@ -321,6 +323,7 @@ def adaptive_circuits(draw):
 def test_kraus_operators_match_branches(circuit, seed):
     survivors = circuit.surviving_qubits
     bits, kraus, _ = kraus_operators(circuit, survivors)
+    bits = _bit_strings(bits)
     k = kraus.shape[2]
     gram = np.einsum("rdi,rdj->ij", kraus.conj(), kraus)
     assert np.allclose(gram, np.eye(k), atol=1e-9)
@@ -345,6 +348,72 @@ def test_kraus_operators_match_branches(circuit, seed):
 
 
 # ------------------------------------------------- reference walk
+
+
+def _eager_walk(circuit, block):
+    """The breadth-first walk that applies every gate as it comes, in
+    place: the byte reference for the walk that folds runs of signed
+    affine gates into one gather. ``block`` is the (2^n, C) start."""
+    survivors = circuit.surviving_qubits
+    alive = list(circuit.measured_qubits + survivors)  # row bits, MSB first
+    n, cols = circuit.num_qubits, block.shape[1]
+    source = np.zeros(1, dtype=np.intp)  # the start row of each row
+    for q in alive:
+        source = np.add.outer(source, (0, 1 << (n - 1 - q))).ravel()
+    block = block.take(source, axis=0)[None]  # (B, 2^k, C), B = 1
+    bits = np.zeros((1, 0), dtype=bool)
+    x, z = np.zeros((2, 1), dtype=np.int64)
+    bad = np.full(1, -1)
+    keys: list[str] = []
+    stubs: list[str] = []
+
+    def selected(cond):
+        val = evaluate_condition(cond, dict(zip(keys, bits.T)))
+        return np.broadcast_to(np.asarray(val, dtype=bool), (len(bits),))
+
+    def apply(name, qubits, where):
+        pos = [alive.index(q) for q in qubits]
+        if where.all():
+            apply_in_place(block, GATES[name], pos, len(alive))
+        elif where.any():
+            chosen = np.flatnonzero(where)
+            part = block[chosen]
+            apply_in_place(part, GATES[name], pos, len(alive))
+            block[chosen] = part
+
+    for index, op in enumerate(circuit.operations):
+        if isinstance(op, Gate):
+            apply(op.name, op.qubits, selected(TRUE))
+        elif isinstance(op, CGate):
+            apply(op.name, op.qubits, selected(op.condition))
+        elif isinstance(op, FrameUpdate):
+            where = selected(op.condition)
+            if op.qubit in survivors:
+                bit = 1 << (len(survivors) - 1 - survivors.index(op.qubit))
+                mask = x if op.pauli == "X" else z
+                mask ^= np.where(where, bit, 0)
+            else:
+                bad = np.where(where & (bad < 0), index, bad)
+        else:
+            apply("H", (op.qubit,),
+                  selected(op.flip_basis_if) ^ (op.basis == "x"))
+            count, rows, _ = block.shape
+            block = block.reshape(2 * count, rows // 2, cols)
+            bits = np.column_stack((np.repeat(bits, 2, axis=0),
+                                    np.tile((False, True), count)))
+            x, z, bad = (np.repeat(v, 2) for v in (x, z, bad))
+            parts = block.view(np.float64)
+            live = np.einsum("brc,brc->b", parts, parts) > PROB_FLOOR
+            if not live.all():
+                stubs += _bit_strings(bits[~live])
+                block, bits = block[live], bits[live]
+                x, z, bad = x[live], z[live], bad[live]
+            alive.pop(0)
+            keys.append(op.key)
+    if (bad >= 0).any():
+        qubit = circuit.operations[bad[bad >= 0][0]].qubit
+        raise ValueError(f"frame update on measured qubit {qubit}")
+    return bits, block.transpose(1, 0, 2), x, z, stubs
 
 
 class _Leaf(NamedTuple):
@@ -442,19 +511,44 @@ def _reference_live(circuit, leaves):
 # zero-norm stubs "01" and "10", one under each first outcome
 @example(Circuit(3, (Measure(2, "m0"), CGate("X", (1,), (("m0",),)),
                      Measure(1, "m1")), ("?", "0", "+")), 5)
+# a CX/CZ run on two prefixes, cut by a Z on one of them
+@example(Circuit(3, (Measure(0, "m0", "x"), Gate("CX", (1, 2)),
+                     Gate("CZ", (2, 1)), CGate("Z", (1,), (("m0",),)),
+                     Gate("CX", (2, 1)), Gate("X", (1,))),
+                 ("0", "?", "?")), 6)
+# a run that ends at an x-basis measurement which the first outcome flips
+@example(Circuit(3, (Gate("H", (0,)), Measure(0, "m0"), Gate("CX", (1, 2)),
+                     Gate("CZ", (1, 2)), Gate("X", (2,)),
+                     Measure(2, "m1", "x", (("m0",),))),
+                 ("0", "?", "?")), 7)
+# S, T and Y between CXs are applied, not folded
+@example(Circuit(2, (Gate("CX", (0, 1)), Gate("S", (1,)), Gate("CX", (1, 0)),
+                     Gate("T", (0,)), Gate("CX", (0, 1)), Gate("Y", (1,)),
+                     Gate("CZ", (0, 1))), ("?", "?")), 8)
+# a run with a sign and a later relabelling, on four prefixes
+@example(Circuit(5, (Measure(0, "m0", "x"), Measure(1, "m1", "x"),
+                     Gate("CX", (2, 3)), Gate("SWAP", (3, 4)),
+                     Gate("CCZ", (2, 3, 4)), Gate("X", (4,)),
+                     Gate("CX", (4, 2)), Measure(3, "m2")),
+                 ("0", "0", "?", "?", "+")), 9)
 def test_walk_matches_reference(circuit, seed):
     k = len(input_qubits_of(circuit))
     psi = random_state(k, np.random.default_rng(seed))
     for columns in (np.eye(1 << k, dtype=np.complex128), psi[:, None]):
         start = initial_vector(circuit, columns)
         leaves = _reference_walk(circuit, start)
-        walk = _walk(circuit, start)
+        walk = _walk(circuit, columns)
         live, block, masks = _reference_live(circuit, leaves)
         assert _bit_strings(walk.bits) == live
         # stubs interleave by their bits as the depth-first walk emits them
         assert sorted(live + walk.stubs) == [leaf.bits for leaf in leaves]
         assert len(walk.stubs) == len(leaves) - len(live)
-        assert np.array_equal(walk.block, block)
+        # bytes, not values: the channel check groups operators by bytes,
+        # so a flipped signed zero would change its groups
+        assert walk.block.tobytes() == block.tobytes()
+        eager = _eager_walk(circuit, start)
+        assert walk.block.tobytes() == eager[1].tobytes()
+        assert walk.stubs == eager[4]
         assert np.array_equal(walk.x, masks[0])
         assert np.array_equal(walk.z, masks[1])
     assert [(b.outcome_bits, b.truncated)
@@ -476,9 +570,9 @@ def test_kraus_operators_match_reference_walk(name):
     perm = [survivors.index(q) for q in c.output_qubits]
     want = want.reshape((len(live),) + (2,) * n + (1 << k,))
     want = want.transpose([0] + [1 + p for p in perm] + [n + 1])
-    assert bits == live
+    assert _bit_strings(bits) == live
     assert stubs == len(leaves) - len(live)
-    assert np.array_equal(kraus, want.reshape(kraus.shape))
+    assert kraus.tobytes() == want.reshape(kraus.shape).tobytes()
 
 
 # ------------------------------------------------- reference channel check
@@ -488,6 +582,7 @@ def _reference_check_channel(circuit, unitary, inputs, output_qubits):
     """The channel check that runs every input through all R Kraus
     operators, before equal operators were grouped."""
     bits, kraus, truncated = kraus_operators(circuit, output_qubits)
+    bits = _bit_strings(bits)
     k = kraus.shape[2].bit_length() - 1
     weight = np.einsum("rdc,rdc->r", kraus.conj(), kraus).real
     scaled = kraus * np.sqrt((1 << k) / weight)[:, None, None]
@@ -545,6 +640,56 @@ def test_verify_construction_matches_reference(name):
     assert report.ok
 
 
+def _lexsort_rows(kraus):
+    """The grouping that the hash replaced: a lexsort over every 64-bit
+    word of each operator, then adjacent operators compared."""
+    words = kraus.reshape(len(kraus), -1).view(np.uint64)
+    order = np.lexsort(words.T)
+    ordered = words[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = np.cumsum(starts) - 1
+    return order[starts], group
+
+
+def _groups(kraus, reps, group):
+    """The partition as sets of operator indices, checked exact: every
+    member holds its representative's bytes."""
+    members: dict[int, set[int]] = {}
+    for r, g in enumerate(group.tolist()):
+        assert kraus[r].tobytes() == kraus[reps[g]].tobytes()
+        members.setdefault(g, set()).add(r)
+    return {frozenset(m) for m in members.values()}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 60), st.integers(0, 2 ** 32 - 1))
+def test_distinct_rows_match_lexsort(count, seed):
+    """Operators drawn with repeats from a small pool that holds +0.0 and
+    -0.0 variants of the same values: the hash grouping is the lexsort
+    grouping, and with every hash colliding it only splits groups."""
+    rng = np.random.default_rng(seed)
+    pool = rng.choice([0.0, 0.5, -0.5], size=(4, 2, 2, 2))
+    pool = np.concatenate((pool, np.where(pool == 0, -0.0, pool)))
+    kraus = np.ascontiguousarray(
+        pool[rng.integers(0, len(pool), count)]).view(np.complex128)[..., 0]
+    want = _groups(kraus, *_lexsort_rows(kraus))
+    assert _groups(kraus, *simulate._distinct_rows(kraus)) == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "_row_hash", lambda k: np.zeros(len(k)))
+        split = _groups(kraus, *simulate._distinct_rows(kraus))
+    assert all(any(part <= whole for whole in want) for part in split)
+
+
+def test_colliding_hashes_keep_the_report(monkeypatch):
+    """Every hash the same: groups split, the report does not change."""
+    c = CONSTRUCTIONS["autoccz"]()
+    want = verify_construction(c)
+    monkeypatch.setattr(simulate, "_row_hash", lambda k: np.zeros(len(k)))
+    assert verify_construction(c) == want
+
+
 def test_corrupted_operator_is_named(monkeypatch):
     """One operator of mux-skip, byte-equal to others, is given a sign
     error on one input column: that outcome string alone must fail."""
@@ -560,4 +705,5 @@ def test_corrupted_operator_is_named(monkeypatch):
     report = verify_construction(c)
     assert not report.ok
     assert len(report.failures) == 1
-    assert report.failures[0].startswith(f"branch {bits[-1]}: ")
+    assert report.failures[0].startswith(
+        f"branch {_bit_strings(bits[-1:])[0]}: ")

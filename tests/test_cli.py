@@ -1,5 +1,6 @@
 """End-to-end command line checks, run in process via cli.main."""
 
+import dataclasses
 import json
 import pathlib
 import subprocess
@@ -149,6 +150,30 @@ def test_verify_zx_fixture(capsys):
     assert code == 0
     assert "PASS zx CZ [11=x,12=x]" in out
     assert "PASS zx I2 [11=z,12=z]" in out
+
+
+def test_verify_fail_line_names_the_first_failing_outcome(monkeypatch,
+                                                          capsys):
+    """A construction checked against the wrong target fails, and its
+    line names the first failing outcome string after the counts."""
+    from latticeplan import constructions
+    good = constructions.CONSTRUCTIONS["cz-apply"]()
+    broken = dataclasses.replace(good, target=constructions.IDENTITY2)
+    monkeypatch.setitem(constructions.CONSTRUCTIONS, "cz-apply",
+                        lambda: broken)
+    monkeypatch.delenv("LATTICEPLAN_SEED", raising=False)
+    report, passed = (
+        constructions.verify_construction(c, random_count=1)
+        for c in (broken, constructions.CONSTRUCTIONS["cz-skip"]()))
+    assert report.failures[0].startswith("branch ")
+    code, out, _ = run(capsys, "verify", "cz-apply", "cz-skip",
+                       "--random-count", "1")
+    assert code == 1
+    assert out.splitlines() == [
+        f"FAIL cz-apply: {report.branches_checked} branches, max err "
+        f"{report.max_amplitude_error:.1e}; {report.failures[0]}",
+        f"PASS cz-skip: {passed.branches_checked} branches, max err "
+        f"{passed.max_amplitude_error:.1e}"]
 
 
 def test_verify_seed_override(monkeypatch, capsys):
@@ -455,6 +480,26 @@ def test_every_command_returns_its_freed_memory(monkeypatch, capsys, argv,
 
 
 # ------------------------------------------------------------ imports
+
+
+def test_cli_import_loads_no_numpy():
+    """`import latticeplan.cli` is the whole start-up cost of every
+    command before its handler runs: it loads the command line, the
+    exceptions and the factory model, and no numpy."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import latticeplan.cli\n"
+        "print(' '.join(sorted(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
+    assert [m for m in loaded if m.startswith("latticeplan")] == [
+        "latticeplan", "latticeplan.cli", "latticeplan.exceptions",
+        "latticeplan.factory"]
+    assert not [m for m in loaded if m.split(".")[0] == "numpy"]
 
 
 def test_schedule_and_layout_load_no_circuit_code():

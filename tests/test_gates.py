@@ -16,8 +16,8 @@ from latticeplan.circuits import (GATES, MAX_QUBITS, Circuit, Measure,
                                   check_channel, enumerate_branches,
                                   kron_with_ancillas, plus_state,
                                   random_state)
-from latticeplan.circuits.gates import (GATE_ARITY, _write_row,
-                                        apply_in_place)
+from latticeplan.circuits.gates import (GATE_ARITY, SIGNED_AFFINE,
+                                        _write_row, apply_in_place)
 from latticeplan.exceptions import CapacityError
 
 
@@ -25,6 +25,38 @@ from latticeplan.exceptions import CapacityError
 def test_gates_are_unitary(name):
     u = GATES[name]
     assert np.allclose(u.conj().T @ u, np.eye(u.shape[0]))
+
+
+def _is_signed_affine(u):
+    """Whether every row of ``u`` holds one real +-1 and the columns they
+    sit in are an affine map of the row index over GF(2)."""
+    if not ((np.count_nonzero(u, axis=1) == 1).all()
+            and np.isin(u[u != 0], (1, -1)).all()):
+        return False
+    src = np.argmax(u != 0, axis=1)
+    return all(src[a ^ b] ^ src[0] == src[a] ^ src[b]
+               for a in range(len(u)) for b in range(len(u)))
+
+
+@pytest.mark.parametrize("name", sorted(GATES))
+def test_signed_affine_table_matches_the_matrices(name):
+    """The walk folds exactly the signed affine gates, each from its
+    table entry; every one of them is its own inverse."""
+    u = GATES[name]
+    assert (name in SIGNED_AFFINE) == _is_signed_affine(u)
+    if name not in SIGNED_AFFINE:
+        return
+    images, shift, monomials = SIGNED_AFFINE[name]
+    k = len(images)
+    want = np.zeros_like(u)
+    for j in range(1 << k):
+        col = shift
+        for l in range(k):
+            if j >> (k - 1 - l) & 1:
+                col ^= images[l]
+        want[j, col] = (-1) ** sum(j & mono == mono for mono in monomials)
+    assert np.array_equal(want, u)
+    assert np.array_equal(u @ u, np.eye(1 << k))
 
 
 def _bit(i, q, n):
