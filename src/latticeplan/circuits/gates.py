@@ -294,30 +294,30 @@ def kron_with_ancillas(data: np.ndarray, data_qubits: Sequence[int],
     if given, lists the register rows to return, in their order.
 
     Each row is the product of its ancilla amplitudes, in qubit order,
-    times the data row that its data bits index: one gather and one
-    product over the register, with no transpose.
+    times the data row that its data bits index. A "0" or "1" ancilla
+    gives 1 where the row's bit matches it and 0 elsewhere, and each of
+    the p "+" ancillas 1/sqrt(2), so the weight is 0 or (1/sqrt(2))^p,
+    raised by the same sequential products as the Kronecker product of
+    the ancillas; both are read from the rows' bits, and one gather and
+    one product build the register.
     """
     if sorted(list(data_qubits) + list(ancilla_bits)) != list(range(n)):
         raise ValueError("data and ancilla qubits must partition the register")
-    weight = np.ones(1, dtype=np.complex128)
-    index = np.zeros(1, dtype=np.intp)
-    for q in range(n):
-        if q in ancilla_bits:
-            spec = ancilla_bits[q]
-            if spec == "+":
-                single = np.array([1, 1], dtype=np.complex128) / math.sqrt(2)
-            elif spec in ("0", "1"):
-                single = basis_state(spec)
-            else:
-                raise ValueError(f"bad ancilla spec {spec!r}")
-            weight = np.kron(weight, single)
-            index = np.repeat(index, 2)
-        else:
-            bit = 1 << (len(data_qubits) - 1 - list(data_qubits).index(q))
-            weight = np.repeat(weight, 2)
-            index = np.add.outer(index, (0, bit)).ravel()
-    if rows is not None:
-        index, weight = index[rows], weight[rows]
+    for spec in ancilla_bits.values():
+        if spec not in ("0", "1", "+"):
+            raise ValueError(f"bad ancilla spec {spec!r}")
+    if rows is None:
+        rows = np.arange(1 << n)
+    index = np.zeros(len(rows), dtype=np.intp)
+    for j, q in enumerate(data_qubits):
+        index |= (rows >> (n - 1 - q) & 1) << (len(data_qubits) - 1 - j)
+    fixed = sum(1 << (n - 1 - q) for q, s in ancilla_bits.items() if s != "+")
+    ones = sum(1 << (n - 1 - q) for q, s in ancilla_bits.items() if s == "1")
+    scale = 1.0
+    for spec in ancilla_bits.values():
+        if spec == "+":
+            scale *= 1 / math.sqrt(2)
+    weight = np.where(rows & fixed == ones, scale, 0).astype(np.complex128)
     out = data[index].astype(np.result_type(data, weight), copy=False)
     out *= weight.reshape((-1,) + (1,) * (data.ndim - 1))
     return out

@@ -2,30 +2,46 @@
 
 Measured qubits are removed from the simulated register, so the state
 dimension halves at every measurement; a 16-qubit circuit with 14
-measurements stays cheap. Branches are explored breadth first: one array
-holds every live outcome prefix side by side, so each circuit operation
-is one vectorised step, and a measurement splits every prefix at once
-with the 0 outcome first, keeping the prefixes in lexicographic order.
+measurements stays cheap. Branches are explored breadth first, and a
+measurement splits every outcome prefix at once with the 0 outcome
+first.
 
-The walk works on one block of shape (B, rows, C) in place. Its rows
-hold the measured qubits first, in measurement order with the first one
+The walk holds one row per distinct prefix state, not one per prefix.
+Every live outcome prefix is a member: the member table holds its
+outcome bits, in lexicographic order, the row (group) its state is in,
+and its own X and Z frame masks. A measurement splits each row into its
+two children, drops the members of a zero-norm child as stubs, and then
+merges the children whose bytes are equal (``_distinct_rows``), so the
+block holds as many rows as there are distinct states. A condition (a
+basis flip, a ``CGate`` or a ``FrameUpdate``) is evaluated per member; a
+row whose members disagree on a gate is split first, its selected
+members moving to a copy of it. Every kernel computes each amplitude by
+the same rounded operations whatever else the block holds (see
+``gates``), so a row evolves exactly as each of its members would alone:
+``_walk`` expands the groups back into the byte-identical per-prefix
+block.
+
+The block, of shape (G, rows, C), is worked on in place. Its rows hold
+the measured qubits first, in measurement order with the first one
 measured as the most significant bit, then the survivors in ascending
 order; a circuit never touches a qubit after measuring it, so this order
 is fixed before the walk starts, and the walk's copy of the start block
 is gathered in it. Each measurement then splits off the most significant
-row bit by a reshape that copies nothing: (B, 2, rows/2, C) becomes
-(2B, rows/2, C). A gate of ``gates.SIGNED_AFFINE`` (X, Z, CX, CZ, SWAP,
+row bit by a reshape that copies nothing: (G, 2, rows/2, C) becomes
+(2G, rows/2, C). A gate of ``gates.SIGNED_AFFINE`` (X, Z, CX, CZ, SWAP,
 CCZ) on every prefix joins a pending relabelling of the rows and a sign,
 applied by one gather and negation, which keep every byte, before any
 other operation; the first builds the block from the input. Any other
 gate runs in place (``gates.apply_in_place``), writing only the
-sub-blocks it changes, on the prefixes it selects.
+sub-blocks it changes, on the rows it selects.
 
 The walk carries a trailing column axis: with every basis input as a
 column, each live outcome string ends with the Kraus operator of that
-string, and the channel check compares it, after its Pauli frame,
-against the target unitary up to one scalar per outcome. With one input
-column, ``enumerate_branches`` hands each outcome string back as a plain
+string. ``grouped_kraus_operators`` applies each distinct (row, frame)
+pair once, and the channel check compares each distinct operator with
+the target unitary up to one scalar, sharing the result with every
+outcome string that holds it. With one input column,
+``enumerate_branches`` hands each outcome string back as a plain
 ``Branch`` record of the walk's own values: its normalized amplitudes (a
 row of one read-only array) and its frame as the walk's X and Z masks.
 """
@@ -103,21 +119,39 @@ def initial_vector(circuit: Circuit, input_state: np.ndarray | None,
 
 class _Walk(NamedTuple):
     """Every live outcome string of a circuit at its end, side by side in
-    lexicographic order.
+    lexicographic order: the per-prefix expansion of a ``_Groups``.
 
     ``block`` is (2^s, B, C): the outputs of the B live strings on the s
     surviving qubits, one column per input, each still weighted by its
-    outcome's amplitude; it is a transposed view of the walk's own
-    C-contiguous (B, 2^s, C) array, so ``block.transpose(1, 0, 2)`` is
-    free. ``bits`` is their (B, m) outcome matrix, ``x`` and ``z`` are
-    the (B,) X and Z masks of their recorded frames over the surviving
-    qubits (qubit 0 the most significant bit), and ``stubs`` holds the
-    outcome strings of the zero-norm prefixes whose subtrees were not
-    explored.
+    outcome's amplitude; it is a transposed view of a C-contiguous
+    (B, 2^s, C) array, so ``block.transpose(1, 0, 2)`` is free. ``bits``
+    is their (B, m) outcome matrix, ``x`` and ``z`` are the (B,) X and Z
+    masks of their recorded frames over the surviving qubits (qubit 0
+    the most significant bit), and ``stubs`` holds the outcome strings
+    of the zero-norm prefixes whose subtrees were not explored.
     """
 
     bits: np.ndarray
     block: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+    stubs: list[str]
+
+
+class _Groups(NamedTuple):
+    """Every live outcome string of a circuit at its end, grouped by the
+    bytes of its state.
+
+    ``block`` is the C-contiguous (G, 2^s, C) array of the G distinct
+    states on the s surviving qubits. The B live strings are members, in
+    lexicographic order: ``bits`` is their (B, m) outcome matrix,
+    ``group`` the (B,) row of ``block`` that holds each one's state, and
+    ``x``, ``z`` and ``stubs`` are as in ``_Walk``.
+    """
+
+    block: np.ndarray
+    group: np.ndarray
+    bits: np.ndarray
     x: np.ndarray
     z: np.ndarray
     stubs: list[str]
@@ -143,19 +177,19 @@ def _parities(forms: Sequence[tuple[int, int]], m: int) -> np.ndarray:
     return out
 
 
-def _walk(circuit: Circuit, input_state: np.ndarray | None) -> _Walk:
+def _grouped_walk(circuit: Circuit, input_state: np.ndarray | None
+                  ) -> _Groups:
     """Run every measurement branch of the circuit on all columns of the
     (2^k, C) or (2^k,) ``input_state`` at once (None without input
-    qubits), breadth first: one array holds every live outcome prefix,
-    and each operation is one step over all of them.
+    qubits), breadth first, one block row per distinct prefix state.
 
     Every basis flip, conditional gate and frame update depends on the
     outcome prefix alone, so one prefix serves every column. A condition
-    is a boolean vector over the prefixes, and a conditional operation
-    acts on the prefixes it selects. A measurement splits prefix b into
-    children 2b and 2b + 1, which keeps the prefixes in lexicographic
-    order; a child whose squared norm, summed over the columns, is at
-    most ``PROB_FLOOR`` ends as a stub.
+    is a boolean vector over the members, and a conditional operation
+    acts on the rows of the members it selects. A measurement splits
+    member b into children 2b and 2b + 1, which keeps the members in
+    lexicographic order; a child whose squared norm, summed over the
+    columns, is at most ``PROB_FLOOR`` ends as a stub.
 
     Between gathers row j of the state is (-1)^sign(i) times row i of
     ``block`` (of the start, rows in qubit order, before the first): bit
@@ -171,8 +205,9 @@ def _walk(circuit: Circuit, input_state: np.ndarray | None) -> _Walk:
     forms = [(1 << (n - 1 - q), 0) for q in alive]
     terms: list[list[tuple[int, int]]] = []
     bits = np.zeros((1, 0), dtype=bool)
+    group = np.zeros(1, dtype=np.intp)
     x, z = np.zeros((2, 1), dtype=np.int64)
-    # per prefix, the first frame update on a qubit that is measured later
+    # per member, the first frame update on a qubit that is measured later
     bad = np.full(1, -1)
     keys: list[str] = []
     stubs: list[str] = []
@@ -204,7 +239,7 @@ def _walk(circuit: Circuit, input_state: np.ndarray | None) -> _Walk:
         if block is None:
             block = reshape_view(initial_vector(circuit, input_state, src),
                                  (1, 1 << m, -1))
-        else:  # half the prefixes, or of one prefix's columns, at a time
+        else:  # half the rows, or of one row's columns, at a time
             for view in np.array_split(block, 2, 0 if len(block) > 1 else 2):
                 view[...] = view.take(src, axis=1)
         if terms:
@@ -213,16 +248,37 @@ def _walk(circuit: Circuit, input_state: np.ndarray | None) -> _Walk:
             np.negative(block, out=block, where=odd[src, None])
         forms, terms = identity, []
 
+    def rows_of(where: np.ndarray) -> np.ndarray:
+        # the rows whose members are all selected, once each row whose
+        # members disagree has moved its selected ones to a copy of it
+        nonlocal block, group
+        count = len(block)
+        whole = np.ones(count, dtype=bool)
+        whole[group[~where]] = False
+        mixed = np.zeros(count, dtype=bool)
+        mixed[group[where]] = True
+        mixed &= ~whole
+        if mixed.any():
+            rows = np.flatnonzero(mixed)
+            copy = np.zeros(count, dtype=np.intp)
+            copy[rows] = np.arange(count, count + len(rows))
+            group = np.where(where & mixed[group], copy[group], group)
+            block = np.concatenate((block, block[rows]))
+            whole = np.concatenate((whole, np.ones(len(rows), dtype=bool)))
+        return whole
+
     def apply(name: str, qubits, where: np.ndarray) -> None:
         pos = [alive.index(q) for q in qubits]
         if name in SIGNED_AFFINE and where.all():
             return fold(pos, *SIGNED_AFFINE[name])
-        if where.any():
-            settle()
-        if where.all():
+        if not where.any():
+            return
+        settle()
+        rows = rows_of(where)
+        if rows.all():
             apply_in_place(block, GATES[name], pos, len(alive))
-        elif where.any():
-            chosen = np.flatnonzero(where)
+        else:
+            chosen = np.flatnonzero(rows)
             part = block[chosen]
             apply_in_place(part, GATES[name], pos, len(alive))
             block[chosen] = part
@@ -248,14 +304,17 @@ def _walk(circuit: Circuit, input_state: np.ndarray | None) -> _Walk:
             count, rows, width = block.shape
             block = reshape_view(block, (2 * count, rows // 2, width))
             bits = np.column_stack((np.repeat(bits, 2, axis=0),
-                                    np.tile((False, True), count)))
+                                    np.tile((False, True), len(bits))))
+            group = (2 * group[:, None] + (0, 1)).ravel()
             x, z, bad = (np.repeat(v, 2) for v in (x, z, bad))
             parts = block.view(np.float64)  # real and imaginary parts
             live = np.einsum("brc,brc->b", parts, parts) > PROB_FLOOR
-            if not live.all():
-                stubs += _bit_strings(bits[~live])
-                block, bits = block[live], bits[live]
-                x, z, bad = x[live], z[live], bad[live]
+            dead = ~live[group]
+            if dead.any():
+                stubs += _bit_strings(bits[dead])
+                bits, group, x, z, bad = (v[~dead] for v in
+                                          (bits, group, x, z, bad))
+            block, group = _regroup(block, group)
             alive.pop(0)
             forms = forms[1:]
             keys.append(op.key)
@@ -263,7 +322,36 @@ def _walk(circuit: Circuit, input_state: np.ndarray | None) -> _Walk:
     if (bad >= 0).any():
         qubit = circuit.operations[bad[bad >= 0][0]].qubit
         raise ValueError(f"frame update on measured qubit {qubit}")
-    return _Walk(bits, block.transpose(1, 0, 2), x, z, stubs)
+    if block.base is not None and block.base.nbytes > block.nbytes:
+        block = block.copy()  # let go of the rows merged away
+    return _Groups(block, group, bits, x, z, stubs)
+
+
+def _regroup(block: np.ndarray, group: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``block`` that hold a member, byte-equal ones merged,
+    moved to its front in order, and the members' ``group`` renumbered
+    onto them. A row moves only towards the front, a few at a time, so
+    no second block is allocated."""
+    first, label = _distinct_rows(block)
+    used = np.zeros(len(first), dtype=bool)
+    used[label[group]] = True
+    keep = first[used]
+    if len(keep) == len(block):
+        return block, group
+    chunk = max(1, _CHUNK_BYTES // max(1, block[:1].nbytes))
+    for i in range(0, len(keep), chunk):
+        rows = keep[i:i + chunk]
+        block[i:i + len(rows)] = block[rows]
+    return block[:len(keep)], (np.cumsum(used) - 1)[label[group]]
+
+
+def _walk(circuit: Circuit, input_state: np.ndarray | None) -> _Walk:
+    """The grouped walk, expanded to one block row per live outcome
+    string."""
+    walk = _grouped_walk(circuit, input_state)
+    return _Walk(walk.bits, walk.block[walk.group].transpose(1, 0, 2),
+                 walk.x, walk.z, walk.stubs)
 
 
 def enumerate_branches(circuit: Circuit,
@@ -326,14 +414,16 @@ class ChannelReport:
     failures: tuple[str, ...]
 
 
-def kraus_operators(circuit: Circuit, output_qubits: tuple[int, ...]
-                    ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Kraus operator of every outcome string, from one walk that carries
-    all 2^k basis inputs as columns.
+def grouped_kraus_operators(circuit: Circuit, output_qubits: tuple[int, ...]
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                       int]:
+    """Kraus operator of every outcome string, from one grouped walk that
+    carries all 2^k basis inputs as columns, each distinct operator once.
 
     Returns the (R, m) bits of the live outcome strings in lexicographic
-    order, their operators as an (R, 2^s, 2^k) array, each after its
-    recorded frame and with its rows reordered onto ``output_qubits``,
+    order; the (T, 2^s, 2^k) operators of the T distinct (state, frame)
+    pairs among them, each after its frame and with its rows reordered
+    onto ``output_qubits``; the (R,) index of each string's operator;
     and the number of zero-norm prefixes left unexplored. Raises
     ContractError if the surviving qubits are not exactly
     ``output_qubits``.
@@ -347,38 +437,53 @@ def kraus_operators(circuit: Circuit, output_qubits: tuple[int, ...]
         raise CapacityError(
             f"{circuit.num_qubits} qubits with {k} inputs exceed the cap "
             f"of {MAX_KRAUS_VALUES} values for the Kraus walk")
-    walk = _walk(circuit, np.eye(1 << k, dtype=np.complex128))
-    count, n = walk.block.shape[1], len(survivors)
-    kraus = apply_pauli(walk.block.transpose(1, 0, 2), walk.x, walk.z)
+    walk = _grouped_walk(circuit, np.eye(1 << k, dtype=np.complex128))
+    n = len(survivors)
+    pairs = (walk.group << 2 * n) | (walk.x << n) | walk.z
+    _, first, member = np.unique(pairs, return_index=True,
+                                 return_inverse=True)
+    kraus = apply_pauli(walk.block[walk.group[first]], walk.x[first],
+                        walk.z[first])
     perm = [survivors.index(q) for q in output_qubits]
-    kraus = kraus.reshape((count,) + (2,) * n + (1 << k,))
+    kraus = kraus.reshape((len(first),) + (2,) * n + (1 << k,))
     kraus = kraus.transpose([0] + [1 + p for p in perm] + [n + 1])
-    kraus = np.ascontiguousarray(kraus.reshape(count, 1 << n, 1 << k))
-    return walk.bits, kraus, len(walk.stubs)
+    kraus = np.ascontiguousarray(kraus.reshape(len(first), 1 << n, 1 << k))
+    return walk.bits, kraus, member.reshape(-1), len(walk.stubs)
 
 
-def _row_hash(kraus: np.ndarray) -> np.ndarray:
-    """One float64 per operator of a contiguous (R, ...) array: its 32-bit
-    words, exact as floats, summed with fixed random weights."""
-    words = kraus.reshape(len(kraus), -1).view(np.int32)
-    weights = np.random.default_rng(0).random(words.shape[1]) + 0.5
-    return np.einsum("rw,w->r", words, weights)
+def kraus_operators(circuit: Circuit, output_qubits: tuple[int, ...]
+                    ) -> tuple[np.ndarray, np.ndarray, int]:
+    """``grouped_kraus_operators`` expanded: the (R, m) bits, the
+    (R, 2^s, 2^k) operator of every live outcome string, and the number
+    of stubs."""
+    bits, kraus, member, stubs = grouped_kraus_operators(circuit,
+                                                         output_qubits)
+    return bits, kraus[member], stubs
 
 
-def _distinct_rows(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the operators of a contiguous (R, ...) array by their bytes.
-    Returns the index of one operator per group and the (R,) group
-    number of every operator. Equal bytes hash equal, so sorting by
-    ``_row_hash`` makes them neighbours, and a group starts at each byte
-    change: a hash collision can only split a group."""
-    words = kraus.reshape(len(kraus), -1).view(np.uint64)
-    order = np.argsort(_row_hash(kraus))
-    ordered = words[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    group = np.empty(len(order), dtype=np.int64)
-    group[order] = np.cumsum(starts) - 1
-    return order[starts], group
+# The walk moves merged rows this many bytes at a time.
+_CHUNK_BYTES = 1 << 19
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows of a C-contiguous (R, ...) array by their bytes.
+    Returns the index of the first row of each group, ascending, and the
+    (R,) group number of every row.
+
+    Each row is viewed as one opaque (void) element, which numpy orders
+    by its bytes as ``memcmp`` does: a stable argsort moves only indices,
+    and a binary search finds for every row the first of its equals. A
+    comparison of two rows stops at the first byte that differs.
+    """
+    count = len(rows)
+    if not count:
+        return np.zeros((2, 0), dtype=np.intp)
+    flat = rows.reshape(count, -1)
+    cells = flat.view(np.dtype((np.void, flat[0].nbytes)))[:, 0]
+    order = np.argsort(cells, kind="stable")
+    first_of = order[np.searchsorted(cells, cells, sorter=order)]
+    is_first = first_of == np.arange(count)
+    return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[first_of]
 
 
 def check_channel(circuit: Circuit, unitary: np.ndarray, *,
@@ -405,14 +510,15 @@ def check_channel(circuit: Circuit, unitary: np.ndarray, *,
     k = len(in_qubits)
     if unitary.shape != (1 << len(outs), 1 << k):
         raise ValueError("unitary shape does not match data qubits")
-    bits, kraus, truncated = kraus_operators(circuit, outs)
+    bits, kraus, member, truncated = grouped_kraus_operators(circuit, outs)
     if inputs is None:
         inputs = basis_inputs(k)
 
     # Every error depends on the bytes of K_r alone, so each distinct
     # operator is checked once and its errors shared by its group.
-    reps, group = _distinct_rows(kraus)
-    size = np.bincount(group)
+    reps, label = _distinct_rows(kraus)
+    group = label[member]
+    size = np.bincount(group, minlength=len(reps))
     distinct = kraus[reps]
 
     # Scale each K_r to the weight of one unit input, so its distance

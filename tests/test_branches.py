@@ -667,26 +667,27 @@ def _groups(kraus, reps, group):
 @given(st.integers(1, 60), st.integers(0, 2 ** 32 - 1))
 def test_distinct_rows_match_lexsort(count, seed):
     """Operators drawn with repeats from a small pool that holds +0.0 and
-    -0.0 variants of the same values: the hash grouping is the lexsort
-    grouping, and with every hash colliding it only splits groups."""
+    -0.0 variants of the same values: the byte grouping is the lexsort
+    grouping, each group's first operator its representative."""
     rng = np.random.default_rng(seed)
     pool = rng.choice([0.0, 0.5, -0.5], size=(4, 2, 2, 2))
     pool = np.concatenate((pool, np.where(pool == 0, -0.0, pool)))
     kraus = np.ascontiguousarray(
         pool[rng.integers(0, len(pool), count)]).view(np.complex128)[..., 0]
     want = _groups(kraus, *_lexsort_rows(kraus))
-    assert _groups(kraus, *simulate._distinct_rows(kraus)) == want
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulate, "_row_hash", lambda k: np.zeros(len(k)))
-        split = _groups(kraus, *simulate._distinct_rows(kraus))
-    assert all(any(part <= whole for whole in want) for part in split)
+    first, group = simulate._distinct_rows(kraus)
+    assert _groups(kraus, first, group) == want
+    assert list(first) == sorted(min(part) for part in want)
+    assert list(group[first]) == list(range(len(first)))
 
 
-def test_colliding_hashes_keep_the_report(monkeypatch):
-    """Every hash the same: groups split, the report does not change."""
+def test_split_groups_keep_the_report(monkeypatch):
+    """Every row its own group, in the walk and in the check: the walk
+    then carries every prefix, and the report does not change."""
     c = CONSTRUCTIONS["autoccz"]()
     want = verify_construction(c)
-    monkeypatch.setattr(simulate, "_row_hash", lambda k: np.zeros(len(k)))
+    monkeypatch.setattr(simulate, "_distinct_rows",
+                        lambda rows: (np.arange(len(rows)),) * 2)
     assert verify_construction(c) == want
 
 
@@ -694,14 +695,18 @@ def test_corrupted_operator_is_named(monkeypatch):
     """One operator of mux-skip, byte-equal to others, is given a sign
     error on one input column: that outcome string alone must fail."""
     c = CONSTRUCTIONS["mux-skip"]()
-    bits, kraus, truncated = kraus_operators(c.circuit, c.output_qubits)
-    words = kraus.reshape(len(kraus), -1).view(np.uint64)
+    bits, kraus, member, truncated = simulate.grouped_kraus_operators(
+        c.circuit, c.output_qubits)
+    words = kraus[member].reshape(len(member), -1).view(np.uint64)
     twins = (words == words[-1]).all(axis=1)
     assert twins.sum() > 1
-    bad = kraus.copy()
+    # the last outcome string alone gets a corrupted copy of its operator
+    bad = np.concatenate((kraus, kraus[member[-1:]]))
     bad[-1, :, 0] *= -1
-    monkeypatch.setattr(simulate, "kraus_operators",
-                        lambda *args: (bits, bad, truncated))
+    moved = member.copy()
+    moved[-1] = len(kraus)
+    monkeypatch.setattr(simulate, "grouped_kraus_operators",
+                        lambda *args: (bits, bad, moved, truncated))
     report = verify_construction(c)
     assert not report.ok
     assert len(report.failures) == 1

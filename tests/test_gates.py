@@ -4,6 +4,7 @@ Convention under test: qubit 0 is the most significant bit of the basis
 index.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -344,3 +345,56 @@ def test_kron_with_ancillas_validation():
         kron_with_ancillas(basis_state("0"), (0,), {0: "0"}, 2)
     with pytest.raises(ValueError):
         kron_with_ancillas(basis_state("0"), (0,), {1: "w"}, 2)
+
+
+def _kron_reference(data, data_qubits, ancilla_bits, n, rows=None):
+    """The embedding that the bitwise one replaced: one ``np.kron`` per
+    ancilla for the weights and ``np.add.outer`` for the data index, then
+    the requested rows of both."""
+    weight = np.ones(1, dtype=np.complex128)
+    index = np.zeros(1, dtype=np.intp)
+    for q in range(n):
+        if q in ancilla_bits:
+            spec = ancilla_bits[q]
+            if spec == "+":
+                single = np.array([1, 1], dtype=np.complex128) / math.sqrt(2)
+            else:
+                single = basis_state(spec)
+            weight = np.kron(weight, single)
+            index = np.repeat(index, 2)
+        else:
+            bit = 1 << (len(data_qubits) - 1 - list(data_qubits).index(q))
+            weight = np.repeat(weight, 2)
+            index = np.add.outer(index, (0, bit)).ravel()
+    if rows is not None:
+        index, weight = index[rows], weight[rows]
+    out = data[index].astype(np.result_type(data, weight), copy=False)
+    out *= weight.reshape((-1,) + (1,) * (data.ndim - 1))
+    return out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_kron_with_ancillas_matches_kron_reference(draw):
+    """Byte for byte, signed zeros included: the data holds -0.0 and
+    negative entries, so a zero weight's sign shows in the product."""
+    n = draw.draw(st.integers(0, 6))
+    specs = draw.draw(st.lists(st.sampled_from("01+?"), min_size=n,
+                               max_size=n))
+    data_qubits = draw.draw(st.permutations(
+        [q for q, s in enumerate(specs) if s == "?"]))
+    ancillas = {q: s for q, s in enumerate(specs) if s != "?"}
+    shape = (1 << len(data_qubits), draw.draw(st.integers(1, 3)), 2)
+    size = math.prod(shape)
+    picks = draw.draw(st.lists(st.integers(0, 4), min_size=size,
+                               max_size=size))
+    parts = np.array([0.0, -0.0, 0.5, -0.75, 1.0])[picks].reshape(shape)
+    data = parts.view(np.complex128)[..., 0]
+    rows = None
+    if draw.draw(st.booleans()):
+        rows = np.array(draw.draw(st.permutations(range(1 << n))),
+                        dtype=np.intp)
+    got = kron_with_ancillas(data, data_qubits, ancillas, n, rows)
+    want = _kron_reference(data, data_qubits, ancillas, n, rows)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
