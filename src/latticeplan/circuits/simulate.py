@@ -274,8 +274,8 @@ def _grouped_walk(circuit: Circuit, input_state: np.ndarray | None
         if not where.any():
             return
         settle()
-        rows = rows_of(where)
-        if rows.all():
+        rows = None if where.all() else rows_of(where)
+        if rows is None or rows.all():
             apply_in_place(block, GATES[name], pos, len(alive))
         else:
             chosen = np.flatnonzero(rows)
@@ -461,8 +461,12 @@ def kraus_operators(circuit: Circuit, output_qubits: tuple[int, ...]
     return bits, kraus[member], stubs
 
 
-# The walk moves merged rows this many bytes at a time.
+# The walk moves merged rows this many bytes at a time. A row of at
+# least 8 times this many words is first compared on a sample of about
+# this many of them, every 8th or more, so a pass over it reads few of
+# its cache lines.
 _CHUNK_BYTES = 1 << 19
+_SAMPLE_WORDS = 1024
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -470,19 +474,31 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the index of the first row of each group, ascending, and the
     (R,) group number of every row.
 
-    Each row is viewed as one opaque (void) element, which numpy orders
-    by its bytes as ``memcmp`` does: a stable argsort moves only indices,
-    and a binary search finds for every row the first of its equals. A
-    comparison of two rows stops at the first byte that differs.
+    Rows whose sampled words already differ all differ; only otherwise
+    are the whole rows compared.
     """
     count = len(rows)
     if not count:
         return np.zeros((2, 0), dtype=np.intp)
-    flat = rows.reshape(count, -1)
-    cells = flat.view(np.dtype((np.void, flat[0].nbytes)))[:, 0]
+    words = rows.reshape(count, -1).view(np.uint64)
+    step = words.shape[1] // _SAMPLE_WORDS | 1
+    if step >= 8:
+        first, group = _byte_groups(np.ascontiguousarray(words[:, ::step]))
+        if len(first) == count:
+            return first, group
+    return _byte_groups(words)
+
+
+def _byte_groups(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_distinct_rows`` of a C-contiguous (R, W) array. Each row is
+    viewed as one opaque (void) element, which numpy orders by its bytes
+    as ``memcmp`` does: a stable argsort moves only indices, and a binary
+    search finds for every row the first of its equals. A comparison of
+    two rows stops at the first byte that differs."""
+    cells = words.view(np.dtype((np.void, words[0].nbytes)))[:, 0]
     order = np.argsort(cells, kind="stable")
     first_of = order[np.searchsorted(cells, cells, sorter=order)]
-    is_first = first_of == np.arange(count)
+    is_first = first_of == np.arange(len(words))
     return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[first_of]
 
 
