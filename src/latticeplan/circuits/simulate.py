@@ -63,10 +63,11 @@ from .gates import (GATES, MAX_QUBITS, SIGNED_AFFINE, apply_in_place,
 PROB_FLOOR = 1e-12
 ATOL = 1e-9
 # The Kraus walk of n qubits and k inputs never holds more than 2^(n+k)
-# values: a measurement halves the rows and at most doubles the prefixes.
-# The constructions need at most 2^18 values, and 2^22 take 64 MiB. The
-# walk works on that one block in place; the channel check of mux-skip
-# (2^18 values, 4 MiB) peaks at 10.3 MiB of numpy memory.
+# values: a measurement halves the rows and at most doubles the prefix
+# states, and the walk holds no more states than prefixes. The
+# constructions need at most 2^18 values, and 2^22 take 64 MiB. The walk
+# works on that one block in place; the channel check of mux-skip (2^18
+# values, 4 MiB) peaks at 6.3 MiB of numpy memory.
 MAX_KRAUS_VALUES = 1 << 22
 
 

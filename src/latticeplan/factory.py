@@ -200,6 +200,15 @@ def format_ms(ns: int) -> str:
 _KEY_TYPES = {"cycle_time_us": Fraction, "reaction_time_us": Fraction,
               "gate_error": float, "d1": int, "d2": int}
 _OVERRIDE_KEYS = ("d1", "d2")
+_TIME_KEYS = ("cycle_time_us", "reaction_time_us")
+
+
+def _check_time(us: Fraction) -> None:
+    """Refuse a time that is no finite, positive float, such as 1e400 or
+    1e-400: the rates and durations derived from it are shown as floats.
+    float() raises OverflowError past the largest float."""
+    if not 0 < float(us) < math.inf:
+        raise ValueError(f"time {us} does not convert to a positive float")
 
 
 def parse_assumptions_file(text: str) -> tuple[PhysicalAssumptions, dict]:
@@ -224,7 +233,9 @@ def parse_assumptions_file(text: str) -> tuple[PhysicalAssumptions, dict]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
             values[key] = _KEY_TYPES[key](val)
-        except (ValueError, ZeroDivisionError):
+            if key in _TIME_KEYS:
+                _check_time(values[key])
+        except (ValueError, ZeroDivisionError, OverflowError):
             raise ConfigError(
                 f"line {lineno}: bad value {val!r} for {key}") from None
     try:

@@ -1,6 +1,7 @@
 """Branch enumeration semantics: ordering, probabilities, stubs, frames,
 and the Kraus operators of the same walk."""
 
+import dataclasses
 import tracemalloc
 from typing import NamedTuple
 
@@ -21,7 +22,8 @@ from latticeplan.circuits.simulate import (ATOL, PROB_FLOOR, ChannelReport,
                                            _bit_strings, _walk, basis_inputs,
                                            initial_vector, input_qubits_of,
                                            kraus_operators, random_inputs)
-from latticeplan.constructions import CONSTRUCTIONS, verify_construction
+from latticeplan.constructions import (CCZ_MATRIX, CONSTRUCTIONS, CZ_MATRIX,
+                                      verify_construction)
 from latticeplan.exceptions import CapacityError, ContractError
 
 
@@ -712,3 +714,54 @@ def test_corrupted_operator_is_named(monkeypatch):
     assert len(report.failures) == 1
     assert report.failures[0].startswith(
         f"branch {_bit_strings(bits[-1:])[0]}: ")
+
+
+# The benchmark's negative controls, and mux-skip against CZ: each
+# construction checked against a target it does not implement.
+WRONG_TARGETS = {"cz-apply": np.eye(4), "cz-skip": CZ_MATRIX,
+                 "autoccz": np.eye(8), "toffoli": CCZ_MATRIX,
+                 "mux-apply": np.eye(4), "mux-skip": CZ_MATRIX}
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTIONS))
+def test_wrong_target_fails(name):
+    """Basis inputs alone cannot tell CZ from the identity, so one random
+    input rides along. Every failure line names its outcome string as
+    the per-outcome reference check does, so the grouped walk maps each
+    failing operator back to every string that holds it."""
+    c = dataclasses.replace(CONSTRUCTIONS[name](),
+                            target=WRONG_TARGETS[name].astype(np.complex128))
+    report = verify_construction(c, random_count=1, seed=5)
+    assert not report.ok
+    k = len(c.input_qubits)
+    assert report == _reference_check_channel(
+        c.circuit, c.target, basis_inputs(k) + random_inputs(k, 1, seed=5),
+        c.output_qubits)
+
+
+def test_grouped_walk_holds_distinct_states(monkeypatch):
+    """mux-skip splits into 16384 live outcome strings, but the walk's
+    block never holds more than their 192 distinct prefix states, neither
+    under a gate nor after a measurement; mux-apply ends with 4096
+    strings on at most 49 rows."""
+    held: list[int] = []
+
+    def watch(fn, rows_of):
+        def wrapped(*args):
+            out = fn(*args)
+            held.append(len(rows_of(args, out)))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(simulate, "apply_in_place",
+                        watch(apply_in_place, lambda args, _: args[0]))
+    monkeypatch.setattr(simulate, "_regroup",
+                        watch(simulate._regroup, lambda _, out: out[0]))
+    eye = np.eye(4, dtype=np.complex128)
+    skip = simulate._grouped_walk(CONSTRUCTIONS["mux-skip"]().circuit, eye)
+    assert len(skip.group) == 16384
+    assert held and max(held) <= 192
+    assert len(skip.block) <= 192
+    apply = simulate._grouped_walk(CONSTRUCTIONS["mux-apply"]().circuit, eye)
+    assert len(apply.group) == 4096
+    assert len(apply.block) <= 49

@@ -102,6 +102,22 @@ def test_config_error_carries_line_number(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("value", ["1e400", "1e-400"])
+@pytest.mark.parametrize("argv", [("estimate",), ("schedule", "--m", "10"),
+                                  ("schedule", "--lookup", "16"),
+                                  ("layout", "--m", "10")])
+def test_config_time_beyond_a_float_is_refused(tmp_path, capsys, argv,
+                                               value):
+    # an exact Fraction, but no finite, positive float: the rates and
+    # durations derived from it would overflow or divide by zero
+    cfg = tmp_path / "hw.cfg"
+    cfg.write_text(f"# profile\ncycle_time_us = {value}\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == (f"error: line 2: bad value '{value}' "
+                   "for cycle_time_us\n")
+
+
 # ------------------------------------------------------------- verify
 
 

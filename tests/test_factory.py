@@ -204,6 +204,9 @@ def test_parse_assumptions_defaults_when_empty():
     ("cycle_time_us 2", "line 1: expected key = value"),
     ("gate_error = 0.02", "too close to threshold"),
     ("reaction_time_us = 1/0", "line 1: bad value '1/0'"),
+    ("cycle_time_us = 1e400", "line 1: bad value '1e400'"),
+    ("reaction_time_us = 1e-400", "line 1: bad value '1e-400'"),
+    ("cycle_time_us = 0", "line 1: bad value '0'"),
 ])
 def test_parse_assumptions_errors(text, fragment):
     with pytest.raises(ConfigError, match=fragment):

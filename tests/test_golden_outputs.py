@@ -40,6 +40,15 @@ ARGVS = (
     ("layout", "--m", "10", "--factories", "1000", "--out", "{out}.json"),
     ("estimate",),
     ("estimate", "--json"),
+    ("schedule", "--m", "1000"),
+    ("schedule", "--m", "1000", "--json"),
+    ("schedule", "--m", "1000", "--factories", "1"),
+    ("schedule", "--m", "1000", "--factories", "1", "--json"),
+    ("schedule", "--lookup", "1024"),
+    ("schedule", "--lookup", "1024", "--json"),
+    ("schedule", "--m", "1000", "--lookup", "65536"),
+    ("schedule", "--m", "1000", "--lookup", "65536", "--json"),
+    ("layout", "--m", "1000", "--json"),
 )
 
 # The "max err" figures come from floating-point reductions that may
