@@ -328,6 +328,11 @@ def _grouped_walk(circuit: Circuit, input_state: np.ndarray | None
     return _Groups(block, group, bits, x, z, stubs)
 
 
+# The walk moves the rows it keeps this many bytes at a time, so merging
+# allocates no second block.
+_CHUNK_BYTES = 1 << 19
+
+
 def _regroup(block: np.ndarray, group: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray]:
     """The rows of ``block`` that hold a member, byte-equal ones merged,
@@ -462,22 +467,18 @@ def kraus_operators(circuit: Circuit, output_qubits: tuple[int, ...]
     return bits, kraus[member], stubs
 
 
-# The walk moves merged rows this many bytes at a time. A row of at
-# least 8 times this many words is first compared on a sample of about
-# this many of them, every 8th or more, so a pass over it reads few of
-# its cache lines.
-_CHUNK_BYTES = 1 << 19
+# A row of 8 or more times this many 64-bit words is first compared on
+# every (odd) step-th word, about this many: the sample reads few of the
+# row's cache lines, and rows whose samples differ differ.
 _SAMPLE_WORDS = 1024
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group the rows of a C-contiguous (R, ...) array by their bytes.
     Returns the index of the first row of each group, ascending, and the
-    (R,) group number of every row.
-
-    Rows whose sampled words already differ all differ; only otherwise
-    are the whole rows compared.
-    """
+    (R,) group number of every row. Wide rows are first compared on a
+    sample of their words; only if two samples are equal are the whole
+    rows compared."""
     count = len(rows)
     if not count:
         return np.zeros((2, 0), dtype=np.intp)
