@@ -318,6 +318,7 @@ def kron_with_ancillas(data: np.ndarray, data_qubits: Sequence[int],
         if spec == "+":
             scale *= 1 / math.sqrt(2)
     weight = np.where(rows & fixed == ones, scale, 0).astype(np.complex128)
-    out = data[index].astype(np.result_type(data, weight), copy=False)
+    out = data.take(index, axis=0).astype(np.result_type(data, weight),
+                                         copy=False)
     out *= weight.reshape((-1,) + (1,) * (data.ndim - 1))
     return out
