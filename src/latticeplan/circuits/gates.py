@@ -303,9 +303,12 @@ def kron_with_ancillas(data: np.ndarray, data_qubits: Sequence[int],
     """
     if sorted(list(data_qubits) + list(ancilla_bits)) != list(range(n)):
         raise ValueError("data and ancilla qubits must partition the register")
+    scale = 1.0
     for spec in ancilla_bits.values():
         if spec not in ("0", "1", "+"):
             raise ValueError(f"bad ancilla spec {spec!r}")
+        if spec == "+":
+            scale *= 1 / math.sqrt(2)
     if rows is None:
         rows = np.arange(1 << n)
     index = np.zeros(len(rows), dtype=np.intp)
@@ -313,10 +316,6 @@ def kron_with_ancillas(data: np.ndarray, data_qubits: Sequence[int],
         index |= (rows >> (n - 1 - q) & 1) << (len(data_qubits) - 1 - j)
     fixed = sum(1 << (n - 1 - q) for q, s in ancilla_bits.items() if s != "+")
     ones = sum(1 << (n - 1 - q) for q, s in ancilla_bits.items() if s == "1")
-    scale = 1.0
-    for spec in ancilla_bits.values():
-        if spec == "+":
-            scale *= 1 / math.sqrt(2)
     weight = np.where(rows & fixed == ones, scale, 0).astype(np.complex128)
     out = data.take(index, axis=0).astype(np.result_type(data, weight),
                                          copy=False)

@@ -203,14 +203,6 @@ _OVERRIDE_KEYS = ("d1", "d2")
 _TIME_KEYS = ("cycle_time_us", "reaction_time_us")
 
 
-def _check_time(us: Fraction) -> None:
-    """Refuse a time that is no finite, positive float, such as 1e400 or
-    1e-400: the rates and durations derived from it are shown as floats.
-    float() raises OverflowError past the largest float."""
-    if not 0 < float(us) < math.inf:
-        raise ValueError(f"time {us} does not convert to a positive float")
-
-
 def parse_assumptions_file(text: str) -> tuple[PhysicalAssumptions, dict]:
     """Key/value config: `key = value`, '#' comments. Returns assumptions
     plus optional d1/d2 overrides. Unknown keys are rejected with their
@@ -233,8 +225,11 @@ def parse_assumptions_file(text: str) -> tuple[PhysicalAssumptions, dict]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
             values[key] = _KEY_TYPES[key](val)
-            if key in _TIME_KEYS:
-                _check_time(values[key])
+            # a time must also be a finite, positive float (not 1e400 or
+            # 1e-400): the rates and durations derived from it are shown
+            # as floats, and float() raises OverflowError past the largest
+            if key in _TIME_KEYS and not 0 < float(values[key]) < math.inf:
+                raise ValueError(val)
         except (ValueError, ZeroDivisionError, OverflowError):
             raise ConfigError(
                 f"line {lineno}: bad value {val!r} for {key}") from None
