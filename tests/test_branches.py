@@ -683,6 +683,21 @@ def test_distinct_rows_match_lexsort(count, seed):
     assert list(group[first]) == list(range(len(first)))
 
 
+def test_distinct_rows_look_past_an_equal_sample():
+    """Rows of 16384 words are first compared on every 17th word: rows
+    whose samples are equal are still told apart by a word off the
+    sample, or by the sign of a zero alone, and equal rows still merge."""
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=8192) + 1j * rng.normal(size=8192)
+    base[1] = complex(0.0, base[1].imag)
+    rows = np.stack([base] * 4)
+    rows[1, 0] = complex(base[0].real, 5.0)  # word 1
+    rows[3, 1] = complex(-0.0, base[1].imag)  # word 2
+    first, group = simulate._distinct_rows(rows)
+    assert list(first) == [0, 1, 3]
+    assert list(group) == [0, 1, 0, 2]
+
+
 def test_split_groups_keep_the_report(monkeypatch):
     """Every row its own group, in the walk and in the check: the walk
     then carries every prefix, and the report does not change."""
