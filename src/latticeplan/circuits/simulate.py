@@ -454,7 +454,7 @@ def grouped_kraus_operators(circuit: Circuit, output_qubits: tuple[int, ...]
     kraus = kraus.reshape((len(first),) + (2,) * n + (1 << k,))
     kraus = kraus.transpose([0] + [1 + p for p in perm] + [n + 1])
     kraus = np.ascontiguousarray(kraus.reshape(len(first), 1 << n, 1 << k))
-    return walk.bits, kraus, member.reshape(-1), len(walk.stubs)
+    return walk.bits, kraus, member, len(walk.stubs)
 
 
 def kraus_operators(circuit: Circuit, output_qubits: tuple[int, ...]
