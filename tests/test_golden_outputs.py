@@ -49,6 +49,8 @@ ARGVS = (
     ("schedule", "--m", "1000", "--lookup", "65536"),
     ("schedule", "--m", "1000", "--lookup", "65536", "--json"),
     ("layout", "--m", "1000", "--json"),
+    ("schedule", "--m", "2", "--out", "{out}.jsonl"),
+    ("schedule", "--m", "8", "--factories", "20", "--out", "{out}.jsonl"),
 )
 
 # The "max err" figures come from floating-point reductions that may
