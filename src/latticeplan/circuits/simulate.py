@@ -18,8 +18,8 @@ row whose members disagree on a gate is split first, its selected
 members moving to a copy of it. Every kernel computes each amplitude by
 the same rounded operations whatever else the block holds (see
 ``gates``), so a row evolves exactly as each of its members would alone:
-``_walk`` expands the groups back into the byte-identical per-prefix
-block.
+taken by the members' groups, the rows are byte-identical to the
+per-prefix block.
 
 The block, of shape (G, rows, C), is worked on in place. Its rows hold
 the measured qubits first, in measurement order with the first one
@@ -42,8 +42,9 @@ pair once, and the channel check compares each distinct operator with
 the target unitary up to one scalar, sharing the result with every
 outcome string that holds it. With one input column,
 ``enumerate_branches`` hands each outcome string back as a plain
-``Branch`` record of the walk's own values: its normalized amplitudes (a
-row of one read-only array) and its frame as the walk's X and Z masks.
+``Branch`` record of the walk's own values: the normalized amplitudes of
+its state (its group's row of one read-only array, normalized once per
+distinct state) and its frame as the walk's X and Z masks.
 """
 
 from __future__ import annotations
@@ -118,27 +119,6 @@ def initial_vector(circuit: Circuit, input_state: np.ndarray | None,
                               else input_state, data_qubits, ancillas, n, rows)
 
 
-class _Walk(NamedTuple):
-    """Every live outcome string of a circuit at its end, side by side in
-    lexicographic order: the per-prefix expansion of a ``_Groups``.
-
-    ``block`` is (2^s, B, C): the outputs of the B live strings on the s
-    surviving qubits, one column per input, each still weighted by its
-    outcome's amplitude; it is a transposed view of a C-contiguous
-    (B, 2^s, C) array, so ``block.transpose(1, 0, 2)`` is free. ``bits``
-    is their (B, m) outcome matrix, ``x`` and ``z`` are the (B,) X and Z
-    masks of their recorded frames over the surviving qubits (qubit 0
-    the most significant bit), and ``stubs`` holds the outcome strings
-    of the zero-norm prefixes whose subtrees were not explored.
-    """
-
-    bits: np.ndarray
-    block: np.ndarray
-    x: np.ndarray
-    z: np.ndarray
-    stubs: list[str]
-
-
 class _Groups(NamedTuple):
     """Every live outcome string of a circuit at its end, grouped by the
     bytes of its state.
@@ -147,7 +127,10 @@ class _Groups(NamedTuple):
     states on the s surviving qubits. The B live strings are members, in
     lexicographic order: ``bits`` is their (B, m) outcome matrix,
     ``group`` the (B,) row of ``block`` that holds each one's state, and
-    ``x``, ``z`` and ``stubs`` are as in ``_Walk``.
+    ``x`` and ``z`` the (B,) X and Z masks of their recorded frames over
+    the surviving qubits (qubit 0 the most significant bit). ``stubs``
+    holds the outcome strings of the zero-norm prefixes whose subtrees
+    were not explored.
     """
 
     block: np.ndarray
@@ -352,14 +335,6 @@ def _regroup(block: np.ndarray, group: np.ndarray
     return block[:len(keep)], (np.cumsum(used) - 1)[label[group]]
 
 
-def _walk(circuit: Circuit, input_state: np.ndarray | None) -> _Walk:
-    """The grouped walk, expanded to one block row per live outcome
-    string."""
-    walk = _grouped_walk(circuit, input_state)
-    return _Walk(walk.bits, walk.block[walk.group].transpose(1, 0, 2),
-                 walk.x, walk.z, walk.stubs)
-
-
 def enumerate_branches(circuit: Circuit,
                        input_state: np.ndarray | None = None
                        ) -> list[Branch]:
@@ -372,15 +347,17 @@ def enumerate_branches(circuit: Circuit,
     """
     if input_state is not None and input_state.ndim != 1:
         raise ValueError("input state must be one vector")
-    walk = _walk(circuit, input_state)
+    walk = _grouped_walk(circuit, input_state)
     survivors = circuit.surviving_qubits
     keys = circuit.measurement_keys
-    amps = np.ascontiguousarray(walk.block[:, :, 0].T)
+    # one normalization per distinct state, shared by its members
+    amps = np.ascontiguousarray(walk.block[:, :, 0])
     parts = amps.view(np.float64)  # real and imaginary parts
-    probs = np.einsum("br,br->b", parts, parts)
+    probs = np.einsum("gr,gr->g", parts, parts)
     amps /= np.sqrt(probs)[:, None]
     amps.setflags(write=False)
-    p, frame_x, frame_z = probs.tolist(), walk.x.tolist(), walk.z.tolist()
+    p, group = probs.tolist(), walk.group.tolist()
+    frame_x, frame_z = walk.x.tolist(), walk.z.tolist()
     outcomes = walk.bits.astype(np.int64).tolist()
     # a stub has no descendants, so sorting on the bits interleaves the
     # stubs as a depth-first walk would
@@ -393,8 +370,9 @@ def enumerate_branches(circuit: Circuit,
             branches.append(Branch(bits, dict(zip(keys, map(int, bits))),
                                    0.0, survivors, None, truncated=True))
         else:
-            branches.append(Branch(bits, dict(zip(keys, outcomes[r])), p[r],
-                                   survivors, amps[r], frame_x[r],
+            g = group[r]
+            branches.append(Branch(bits, dict(zip(keys, outcomes[r])), p[g],
+                                   survivors, amps[g], frame_x[r],
                                    frame_z[r]))
     return branches
 

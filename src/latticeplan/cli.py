@@ -47,15 +47,23 @@ def _finite_float(what: str):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as its one error line; ``-h`` prints the
+    usage. Subcommand parsers are of the same class."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", metavar="FILE",
                         help="assumptions file (key = value lines)")
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
     common.add_argument("--out", metavar="FILE",
                         help="write trace or floorplan to FILE")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latticeplan",
         description="Verify adaptive lattice-surgery constructions and "
                     "plan factory throughput, schedules, and floorplans.")
@@ -261,12 +269,9 @@ def _cmd_schedule(args) -> int:
         # the summary comes from the closed form; events only for --out
         depth = scheduler.adder_toffolis(args.m)
         makespan = scheduler.adder_makespan(args.m, spec, assumptions, n)
-        trace = None
-        if args.out:
-            # refuse an over-cap trace before its DAG is built
-            scheduler.check_trace_size(3 * depth, makespan)
-            trace = scheduler.simulate_reaction_limited(
-                scheduler.build_adder_dag(args.m), spec, assumptions, n)
+        trace = scheduler.simulate_reaction_limited(
+            scheduler.build_adder_dag(args.m), spec, assumptions, n) \
+            if args.out else None
         summary = {
             "kind": "adder",
             "factories": n,

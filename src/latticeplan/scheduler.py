@@ -5,23 +5,21 @@ assumptions must convert to whole nanoseconds.
 
 A trace is columnar. Each `EventBlock` holds the events of one kind as
 int64 arrays: times, a tie-break and the payload columns. An `EventTable`
-keeps one block per kind, each in (time, tie-break) order: the chain,
-lookup and timeline blocks arrive sorted, and a general DAG's get one
-`np.lexsort` each. One stable argsort of their concatenated times then
-merges the blocks into trace order. `write_jsonl` streams the trace to a
-file in chunks of 8192 events: a chunk takes the next run of each
-block's sorted events, a slice of its columns, and lays out their
-key-sorted lines as one byte matrix (`bytefmt`), so no text of the
-whole trace is ever held. The lookup and the serial chain also have
-closed forms, so the lookup and adder summaries and the phase timeline
-need no events at all, and a chain's trace is its closed form evaluated
-over every node at once.
+keeps one block per kind, each built in (time, tie-break) order, and one
+stable argsort of their concatenated times merges the blocks into trace
+order. `write_jsonl` streams the trace to a file in chunks of 8192
+events: a chunk takes the next run of each block's events, a slice of
+its columns, and lays out their key-sorted lines as one byte matrix
+(`bytefmt`), so no text of the whole trace is ever held. The adder's
+Toffolis form one serial chain, and the chain and the lookup have
+closed forms: the lookup and adder summaries and the phase timeline
+need no events at all, and a trace is its closed form evaluated over
+every node or step at once.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import io
 from fractions import Fraction
 
@@ -37,9 +35,8 @@ EVENT_KINDS = ("state_ready", "consume", "reaction_decision",
 # Largest trace the simulators build; a 2^20-entry lookup has 4 * 2^20 - 4
 # events. Its columns and merge permutation take about 40 bytes per event
 # and the streamed export a few megabytes more: `schedule --lookup 1048576
-# --out` peaks at 170 MB. The largest adder trace under the cap, 4.19M
-# events, adds its DAG arrays (about 40 bytes per node): `schedule --m
-# 699052 --out` peaks at 235 MB.
+# --out` peaks at 170 MB, and the largest adder trace under the cap, 4.19M
+# events, at 168 MB (`schedule --m 699052 --out`).
 MAX_TRACE_EVENTS = 1 << 22
 
 
@@ -54,10 +51,10 @@ class EventBlock:
     tie: np.ndarray
     columns: dict[str, np.ndarray]
 
-    def line_parts(self, rows: slice | np.ndarray) -> list:
-        """The `byte_rows` parts of the events at ``rows``, a slice or an
-        index array: each the line ``json.dumps(event, sort_keys=True)``
-        writes, with its newline."""
+    def line_parts(self, rows: slice) -> list:
+        """The `byte_rows` parts of the events in the slice ``rows``: each
+        the line ``json.dumps(event, sort_keys=True)`` writes, with its
+        newline."""
         cols = {"t_ns": self.t_ns, **self.columns}
         parts = []
         sep = b"{"
@@ -79,12 +76,10 @@ class EventTable:
     order, and the permutation `order` that sorts their concatenation by
     (time, kind, tie-break).
 
-    ``rows[i]`` is block i's own (time, tie-break) order: None where the
-    block is sorted already, as every chain, lookup and timeline block
-    is, else one `np.lexsort` (a general DAG's blocks come in
-    topological order). A stable argsort of the blocks' sorted times,
-    concatenated, then merges them: equal times keep the kind order and,
-    within a kind, the tie-break order."""
+    Each block must come in (time, tie-break) order, as every chain,
+    lookup and timeline block is built; any other is refused. One stable
+    argsort of the concatenated times then merges the blocks: equal
+    times keep the kind order and, within a kind, the tie-break order."""
 
     def __init__(self, blocks: list[EventBlock]) -> None:
         self.blocks = tuple(sorted(blocks,
@@ -92,20 +87,12 @@ class EventTable:
         kinds = [b.kind for b in self.blocks]
         if len(set(kinds)) != len(kinds):
             raise ValueError("a trace holds one block per kind")
-        self.rows = tuple(None if _is_sorted(b.t_ns, b.tie)
-                          else np.lexsort((b.tie, b.t_ns))
-                          for b in self.blocks)
-        merge = np.argsort(np.concatenate(
-            [b.t_ns if r is None else b.t_ns[r]
-             for b, r in zip(self.blocks, self.rows)]), kind="stable")
-        if any(r is not None for r in self.rows):
-            # positions in the sorted blocks to positions in the blocks
-            starts = np.cumsum([0] + [len(b.t_ns) for b in self.blocks])
-            merge = np.concatenate(
-                [start + (np.arange(len(b.t_ns)) if r is None else r)
-                 for start, b, r in zip(starts, self.blocks, self.rows)]
-            )[merge]
-        self.order = merge
+        for b in self.blocks:
+            if not _is_sorted(b.t_ns, b.tie):
+                raise ValueError(f"{b.kind} events are not in "
+                                 "(time, tie-break) order")
+        self.order = np.argsort(np.concatenate([b.t_ns for b in self.blocks]),
+                                kind="stable")
 
     def __len__(self) -> int:
         return len(self.order)
@@ -136,80 +123,26 @@ def check_trace_size(n_events: int, t_max: int) -> None:
 
 
 class ToffoliDag:
-    """Toffoli-level dependency graph. Nodes are indices 0..n-1; an edge
-    (a, b) means b waits for a's reaction-time decision.
+    """Toffoli-level dependency graph of the ripple-carry adder: the
+    serial chain 0..n-1, in which node b waits for the reaction-time
+    decision of node b - 1. Its topological order is 0..n-1 and its
+    measurement depth n."""
 
-    ``edges`` is held as an (E, 2) int64 array and the predecessors as
-    CSR arrays: the predecessors of node b are
-    ``indices[indptr[b]:indptr[b + 1]]``, in edge order (one stable
-    argsort on the edge targets). A serial chain, whose edges are exactly
-    (k, k + 1) in order, is recognised with one array comparison: its
-    topological order is 0..n-1 and its measurement depth n. Any other
-    graph gets both from one Kahn sweep at construction, smallest ready
-    node first, which is also where a cycle is refused.
-    """
-
-    def __init__(self, num_nodes: int, edges) -> None:
+    def __init__(self, num_nodes: int) -> None:
         if num_nodes < 1:
             raise ValueError("dag needs at least one node")
-        edges = np.asarray(edges, dtype=np.int64)
-        if not edges.size:
-            edges = edges.reshape(0, 2)
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ValueError("edges must be (a, b) pairs")
-        bad = ((edges < 0) | (edges >= num_nodes)).any(axis=1)
-        if bad.any():
-            a, b = edges[bad.argmax()].tolist()
-            raise ValueError(f"edge ({a}, {b}) out of range")
-        if (edges[:, 0] == edges[:, 1]).any():
-            raise ValueError("self edge")
         self.num_nodes = num_nodes
-        self.edges = edges
-        self.indices = edges[np.argsort(edges[:, 1], kind="stable"), 0]
-        self.indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(edges[:, 1], minlength=num_nodes),
-                  out=self.indptr[1:])
-        self.is_chain = len(edges) == num_nodes - 1 and bool(
-            (edges == np.arange(num_nodes - 1)[:, None] + [0, 1]).all())
-        if self.is_chain:
-            self._order = np.arange(num_nodes)
-            self._depth = num_nodes
-        else:
-            self._order, self._depth = self._heap_sweep()
-
-    def _heap_sweep(self) -> tuple[np.ndarray, int]:
-        """Kahn's algorithm popping the smallest ready node first: the
-        topological order and the longest chain, in nodes."""
-        n = self.num_nodes
-        succ: list[list[int]] = [[] for _ in range(n)]
-        for a, b in self.edges.tolist():
-            succ[a].append(b)
-        indeg = np.diff(self.indptr).tolist()
-        depth = [1] * n
-        ready = [i for i in range(n) if indeg[i] == 0]
-        order = []
-        while ready:
-            node = heapq.heappop(ready)
-            order.append(node)
-            for m in succ[node]:
-                depth[m] = max(depth[m], depth[node] + 1)
-                indeg[m] -= 1
-                if indeg[m] == 0:
-                    heapq.heappush(ready, m)
-        if len(order) != n:
-            raise ValueError("dependency cycle")
-        return np.array(order, dtype=np.int64), max(depth)
 
     def predecessors(self, node: int) -> list[int]:
-        return self.indices[self.indptr[node]:self.indptr[node + 1]].tolist()
+        return [node - 1] if node else []
 
     def topological_order(self) -> list[int]:
-        return self._order.tolist()
+        return list(range(self.num_nodes))
 
     @property
     def measurement_depth(self) -> int:
         """Longest chain of nodes (nodes counted, not edges)."""
-        return self._depth
+        return self.num_nodes
 
 
 def adder_toffolis(bits: int) -> int:
@@ -222,9 +155,7 @@ def adder_toffolis(bits: int) -> int:
 
 def build_adder_dag(bits: int) -> ToffoliDag:
     """Ripple-carry adder Toffoli chain: 2*bits - 3 serial nodes."""
-    n = adder_toffolis(bits)
-    k = np.arange(n - 1, dtype=np.int64)
-    return ToffoliDag(num_nodes=n, edges=np.column_stack([k, k + 1]))
+    return ToffoliDag(adder_toffolis(bits))
 
 
 def _ns(us: Fraction) -> int:
@@ -280,43 +211,29 @@ def simulate_reaction_limited(dag: ToffoliDag, spec: FactorySpec,
                               n_factories: int) -> ScheduleTrace:
     """Consume one CCZ state per node; each node's Pauli-frame decision
     lands one reaction time after its state and all predecessor decisions
-    are available. Factories run flat out with unbounded buffering."""
+    are available. Factories run flat out with unbounded buffering.
+
+    Node j - 1 of the chain takes state j, and its decision is the closed
+    form `chain_decision`, evaluated over every node at once. The last
+    decision, the makespan, is the latest event, so the trace is checked
+    against the cap before any column is allocated."""
     depth_ns, reaction = _timing(spec, assumptions, n_factories)
     n = dag.num_nodes
-    check_trace_size(3 * n, depth_ns * _ceil_div(n, n_factories)
-                     + n * reaction)
+    makespan = chain_decision(n, depth_ns, reaction, n_factories)
+    check_trace_size(3 * n, makespan)
     # with F >= n every state is in the first batch and factory j - 1
     # makes state j, so min(F, n) gives the same columns in int64
     f = min(n_factories, n)
     state = np.arange(1, n + 1, dtype=np.int64)
-    ready = depth_ns * _ceil_div(state, f)
-    if dag.is_chain:
-        # node j - 1 takes state j, and its decision is the closed form
-        nodes = state - 1
-        consume = chain_decision(state, depth_ns, reaction,
-                                 n_factories) - reaction
-        makespan = int(consume[-1]) + reaction
-    else:
-        order = dag.topological_order()
-        decision = [0] * n
-        consume = []
-        for node, t_ready in zip(order, ready.tolist()):
-            preds = max((decision[p] for p in dag.predecessors(node)),
-                        default=0)
-            t = max(preds, t_ready)
-            consume.append(t)
-            decision[node] = t + reaction
-        makespan = max(decision)
-        nodes = np.array(order, dtype=np.int64)
-        consume = np.array(consume, dtype=np.int64)
+    nodes = state - 1
+    decision = chain_decision(state, depth_ns, reaction, f)
     # a state_ready tie shares a batch, where factory order is state order
     events = EventTable([
-        EventBlock("state_ready", ready, state,
-                   {"state": state, "factory": (state - 1) % f}),
-        EventBlock("consume", consume, nodes,
+        EventBlock("state_ready", depth_ns * _ceil_div(state, f), state,
+                   {"state": state, "factory": nodes % f}),
+        EventBlock("consume", decision - reaction, nodes,
                    {"node": nodes, "state": state}),
-        EventBlock("reaction_decision", consume + reaction, nodes,
-                   {"node": nodes}),
+        EventBlock("reaction_decision", decision, nodes, {"node": nodes}),
     ])
     busy = n * depth_ns
     return ScheduleTrace(
@@ -508,9 +425,9 @@ def write_jsonl(trace: ScheduleTrace, fh) -> None:
     Events go out one `bytefmt.chunks` slice at a time, in trace order;
     negative values are refused.
 
-    In trace order each block's events come in its own sorted order, so
-    the events a chunk takes from one block are the next run of that
-    order: one cursor per block turns them into a slice."""
+    In trace order each block's events come in block order, so the
+    events a chunk takes from one block are its next run: one cursor per
+    block turns them into a slice."""
     table = trace.events
     sizes = [len(b.t_ns) for b in table.blocks]
     block_ids = np.repeat(np.arange(len(sizes), dtype=np.uint8), sizes)
@@ -518,13 +435,12 @@ def write_jsonl(trace: ScheduleTrace, fh) -> None:
     for part in chunks(len(table)):
         block_of = block_ids[table.order[part]]
         lines = []
-        for i, (block, rows) in enumerate(zip(table.blocks, table.rows)):
+        for i, block in enumerate(table.blocks):
             at = np.flatnonzero(block_of == i)
             if len(at):
                 mine = slice(cursor[i], cursor[i] + len(at))
                 cursor[i] = mine.stop
-                lines.append((at, byte_rows(block.line_parts(
-                    mine if rows is None else rows[mine]))))
+                lines.append((at, byte_rows(block.line_parts(mine))))
         chunk = np.zeros((len(block_of), max(m.shape[1] for _, m in lines)),
                          dtype=np.uint8)
         for at, m in lines:

@@ -19,12 +19,20 @@ from latticeplan.circuits import simulate
 from latticeplan.circuits.gates import (GATE_ARITY, GATES, apply_in_place,
                                         apply_pauli)
 from latticeplan.circuits.simulate import (ATOL, PROB_FLOOR, ChannelReport,
-                                           _bit_strings, _walk, basis_inputs,
+                                           _bit_strings, basis_inputs,
                                            initial_vector, input_qubits_of,
                                            kraus_operators, random_inputs)
 from latticeplan.constructions import (CCZ_MATRIX, CONSTRUCTIONS, CZ_MATRIX,
                                       verify_construction)
 from latticeplan.exceptions import CapacityError, ContractError
+
+
+def _walk(circuit, input_state):
+    """The grouped walk expanded to one block row per live outcome string:
+    its ``block`` is the (2^s, B, C) per-prefix block, the B strings in
+    lexicographic order."""
+    g = simulate._grouped_walk(circuit, input_state)
+    return g._replace(block=g.block[g.group].transpose(1, 0, 2))
 
 
 def _plus_measure():

@@ -1,13 +1,18 @@
 """End-to-end command line checks, run in process via cli.main."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import pathlib
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latticeplan import cli, layout, scheduler, zx
 
@@ -315,7 +320,7 @@ def test_schedule_lookup_over_the_event_cap(tmp_path, capsys):
 
 def test_schedule_adder_over_the_event_cap(tmp_path, capsys):
     # 2 * 699053 - 3 Toffolis: the smallest adder whose 3 events per
-    # Toffoli pass the cap, refused before its DAG is built
+    # Toffoli pass the cap, refused before its events are allocated
     out_file = tmp_path / "trace.jsonl"
     tracemalloc.start()
     try:
@@ -343,6 +348,68 @@ def test_unwritable_out_is_one_error_line(tmp_path, capsys, command, where):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(out) in err
+
+
+# The boundary values every schedule flag is drawn from; 2^63 is one
+# past the int64 range. The caps: --m and --lookup take at least 2,
+# --factories at least 1 and --d2 an odd distance of at least 3; --sides
+# is 1 or 2; with --out an adder of 699052 bits and a lookup of 1048577
+# entries are the largest traces under MAX_TRACE_EVENTS.
+_EDGES = ["0", "1", "2", str(10 ** 18), str(2 ** 63), "-1", "nan", ""]
+_CAPS = {"--m": [2, 699052], "--lookup": [2, 1048577], "--factories": [1],
+         "--sides": [1, 2], "--d2": [3]}
+# sizes that are neither small nor past a cap: traces of millions of
+# events, left out where --out would build them
+_LARGE = {"699051", "1048576"}
+
+
+@st.composite
+def schedule_argvs(draw):
+    out = draw(st.booleans())
+    argv = ["schedule"]
+    for flag, caps in _CAPS.items():
+        values = _EDGES + [str(c + e) for c in caps for e in (-1, 1)]
+        if out:
+            values = [v for v in values if v not in _LARGE]
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            argv += [flag, value]
+    return argv, out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(schedule_argvs())
+# a factory count past int64 once raised OverflowError in the adder trace
+@example((["schedule", "--m", "3", "--factories", str(2 ** 63)], True))
+@example((["schedule", "--m", "699053"], True))
+@example((["schedule", "--lookup", "1048578"], True))
+@example((["schedule", "--m", str(10 ** 18), "--lookup", str(10 ** 18)],
+          True))
+def test_schedule_boundary_values_end_in_an_exit_code(case):
+    """Every boundary argv ends in exit 0, 1 or 2, through a return or
+    argparse's SystemExit, as ``python -m latticeplan`` does; a nonzero
+    exit writes one stderr line, and no example allocates 64 MiB."""
+    argv, out = case
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if out:
+            argv = argv + ["--out", str(pathlib.Path(tmp) / "trace.jsonl")]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code in (0, 1, 2), argv
+    if code:
+        err = stderr.getvalue()
+        assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
+    assert peak < 64 << 20, argv
 
 
 # ------------------------------------------------------------- layout

@@ -7,7 +7,6 @@ once the first batch of states has landed.
 
 import json
 import math
-import random
 import tracemalloc
 from fractions import Fraction
 
@@ -57,47 +56,8 @@ def test_adder_dag_rejects_one_bit():
 
 
 def test_dag_validation():
-    with pytest.raises(ValueError, match="cycle"):
-        S.ToffoliDag(2, ((0, 1), (1, 0)))
-    with pytest.raises(ValueError, match="out of range"):
-        S.ToffoliDag(2, ((0, 2),))
-    with pytest.raises(ValueError, match="self edge"):
-        S.ToffoliDag(2, ((1, 1),))
-    with pytest.raises(ValueError, match="pairs"):
-        S.ToffoliDag(3, ((0, 1, 2),))
-    with pytest.raises(ValueError):
-        S.ToffoliDag(0, ())
-
-
-def test_dag_diamond_order_and_depth():
-    dag = S.ToffoliDag(4, ((0, 1), (0, 2), (1, 3), (2, 3)))
-    assert dag.topological_order() == [0, 1, 2, 3]
-    assert dag.measurement_depth == 3
-    assert sorted(dag.predecessors(3)) == [1, 2]
-
-
-def test_dag_takes_an_edge_array():
-    edges = np.array([[0, 1], [1, 2], [0, 2]])
-    dag = S.ToffoliDag(3, edges)
-    assert not dag.is_chain
-    assert dag.topological_order() == [0, 1, 2]
-    assert dag.predecessors(2) == [1, 0]
-    assert dag.indptr.tolist() == [0, 0, 1, 3]
-    assert dag.indices.tolist() == [0, 1, 0]
-    assert S.ToffoliDag(3, edges[:2]).is_chain
-
-
-def test_chain_recognition():
-    assert S.build_adder_dag(1000).is_chain
-    assert S.ToffoliDag(1, ()).is_chain
-    assert S.ToffoliDag(3, ((0, 1), (1, 2))).is_chain
-    # the same edges in another order, a missing link or one extra edge
-    # take the general path
-    assert not S.ToffoliDag(3, ((1, 2), (0, 1))).is_chain
-    assert not S.ToffoliDag(3, ((0, 1),)).is_chain
-    assert not S.ToffoliDag(3, ((0, 1), (1, 2), (0, 2))).is_chain
-    # ((0, 1), (1, 2)) shifted by one node is not a chain from node 0
-    assert not S.ToffoliDag(3, ((1, 2), (2, 0))).is_chain
+    with pytest.raises(ValueError, match="at least one node"):
+        S.ToffoliDag(0)
 
 
 def _ccz_dependencies(circuit):
@@ -141,8 +101,9 @@ def test_adder_dag_is_the_circuits_chain(bits):
     n, edges = _ccz_dependencies(circuit)
     dag = S.build_adder_dag(bits)
     assert n == dag.num_nodes
-    assert _transitive_reduction(n, edges) == set(map(tuple,
-                                                       dag.edges.tolist()))
+    reduced = _transitive_reduction(n, edges)
+    assert reduced == {(k, k + 1) for k in range(n - 1)}
+    assert reduced == {(a, b) for b in range(n) for a in dag.predecessors(b)}
 
 
 # ---------------------------------------------- reaction-limited chain
@@ -396,33 +357,21 @@ def _reference_order(n, edges):
     return order
 
 
-@st.composite
-def random_dags(draw):
-    """Edges (a, b) with a before b in a random relabelling, so the
-    smallest-ready-first order is not just 0..n-1."""
-    n = draw(st.integers(1, 25))
-    label = draw(st.permutations(range(n)))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), max_size=40)) \
-        if pairs else []
-    return n, tuple((label[i], label[j]) for i, j in chosen)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(random_dags())
-def test_dag_matches_reference(case):
-    n, edges = case
-    dag = S.ToffoliDag(n, edges)
-    order = _reference_order(n, edges)
-    assert dag.topological_order() == order
-    for node in range(n):
-        assert dag.predecessors(node) == [a for a, b in edges if b == node]
-    # longest chain, counted in nodes, over the reference order
-    depth = {}
-    for node in order:
-        depth[node] = 1 + max((depth[a] for a, b in edges if b == node),
-                              default=0)
-    assert dag.measurement_depth == max(depth.values())
+def test_dag_matches_reference():
+    for n in range(1, 26):
+        dag = S.ToffoliDag(n)
+        edges = [(k, k + 1) for k in range(n - 1)]
+        order = _reference_order(n, edges)
+        assert dag.topological_order() == order
+        for node in range(n):
+            assert dag.predecessors(node) == [a for a, b in edges
+                                              if b == node]
+        # longest chain, counted in nodes, over the reference order
+        depth = {}
+        for node in order:
+            depth[node] = 1 + max((depth[a] for a, b in edges if b == node),
+                                  default=0)
+        assert dag.measurement_depth == max(depth.values())
 
 
 # ------------------------------------ event traces against a reference
@@ -548,16 +497,36 @@ def test_lookup_makespan_falls_with_factories(case):
     assert faster.makespan_ns <= slow
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(random_dags(), st.integers(1, 8), st.integers(1, 200_000))
-def test_reaction_limited_matches_reference(case, factories, reaction):
-    n, edges = case
-    dag = S.ToffoliDag(n, edges)
+@st.composite
+def chain_cases(draw):
+    """An adder chain of 1 to 299 nodes, 1 to n + 2 factories, and a
+    factory depth (5 d2 cycles of a drawn cycle time) and a reaction time
+    that put either supply or reaction in charge."""
+    bits = draw(st.integers(2, 151))
+    return dict(bits=bits,
+                factories=draw(st.integers(1, 2 * bits - 1)),
+                d2=draw(st.sampled_from([3, 5, 15, 27, 51])),
+                cycle_ns=draw(st.integers(1, 2000)),
+                reaction=draw(st.integers(1, 200_000)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(chain_cases())
+@example(dict(bits=2, factories=3, d2=27, cycle_ns=1000, reaction=10_000))
+def test_chain_matches_reference(case):
+    """The closed-form chain writes the per-event reference's JSONL. Each
+    node consumes its state once it is ready and its predecessor has
+    decided, decides one reaction later, and one more factory never
+    lengthens the schedule."""
+    spec = FactorySpec(d2=case["d2"])
     assumptions = PhysicalAssumptions(
-        reaction_time_us=Fraction(reaction, 1000))
-    trace = S.simulate_reaction_limited(dag, SPEC, assumptions, factories)
-    events, makespan, summary = _ref_reaction_limited(dag, 135000, reaction,
-                                                      factories)
+        cycle_time_us=Fraction(case["cycle_ns"], 1000),
+        reaction_time_us=Fraction(case["reaction"], 1000))
+    dag = S.build_adder_dag(case["bits"])
+    f = case["factories"]
+    trace = S.simulate_reaction_limited(dag, spec, assumptions, f)
+    events, makespan, summary = _ref_reaction_limited(
+        dag, 5 * case["d2"] * case["cycle_ns"], case["reaction"], f)
     assert S.export_jsonl(trace) == _ref_export(events)
     assert (trace.makespan_ns, trace.summary) == (makespan, summary)
 
@@ -572,54 +541,10 @@ def test_reaction_limited_matches_reference(case, factories, reaction):
     for node, (t, state) in consume.items():
         assert t >= ready[state]
         assert all(t >= decision[p] for p in dag.predecessors(node))
-        assert decision[node] == t + reaction
+        assert decision[node] == t + case["reaction"]
 
-    more = S.simulate_reaction_limited(dag, SPEC, assumptions, factories + 1)
+    more = S.simulate_reaction_limited(dag, spec, assumptions, f + 1)
     assert more.makespan_ns <= trace.makespan_ns
-
-
-@st.composite
-def chain_cases(draw):
-    """An adder chain of 1 to 299 nodes, 1 to n + 2 factories, and a
-    factory depth (5 d2 cycles of a drawn cycle time) and a reaction time
-    that put either supply or reaction in charge."""
-    bits = draw(st.integers(2, 151))
-    return dict(bits=bits,
-                factories=draw(st.integers(1, 2 * bits - 1)),
-                d2=draw(st.sampled_from([3, 5, 15, 27, 51])),
-                cycle_ns=draw(st.integers(1, 2000)),
-                reaction=draw(st.integers(1, 200_000)),
-                order=draw(st.randoms(use_true_random=False)))
-
-
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(chain_cases())
-@example(dict(bits=2, factories=3, d2=27, cycle_ns=1000, reaction=10_000,
-              order=random.Random(0)))
-def test_chain_path_matches_general_path_and_reference(case):
-    """The closed-form chain, the same chain with its edges shuffled
-    (the per-node path) and the per-event reference write the same
-    JSONL."""
-    spec = FactorySpec(d2=case["d2"])
-    assumptions = PhysicalAssumptions(
-        cycle_time_us=Fraction(case["cycle_ns"], 1000),
-        reaction_time_us=Fraction(case["reaction"], 1000))
-    chain = S.build_adder_dag(case["bits"])
-    edges = chain.edges.tolist()
-    case["order"].shuffle(edges)
-    if edges == sorted(edges):  # the shuffle left them in chain order
-        edges.reverse()
-    shuffled = S.ToffoliDag(chain.num_nodes, tuple(map(tuple, edges)))
-    assert chain.is_chain and shuffled.is_chain == (len(edges) < 2)
-    f = case["factories"]
-    fast = S.simulate_reaction_limited(chain, spec, assumptions, f)
-    slow = S.simulate_reaction_limited(shuffled, spec, assumptions, f)
-    events, makespan, summary = _ref_reaction_limited(
-        chain, 5 * case["d2"] * case["cycle_ns"], case["reaction"], f)
-    text = _ref_export(events)
-    assert S.export_jsonl(fast) == S.export_jsonl(slow) == text
-    assert fast.makespan_ns == slow.makespan_ns == makespan
-    assert fast.summary == slow.summary == summary
 
 
 def test_chain_decision_takes_an_array():
@@ -756,8 +681,10 @@ def event_tables(draw):
         def column(values, dtype):
             return np.array(draw(st.lists(values, min_size=n, max_size=n)),
                             dtype=dtype)
-        t_ns = column(st.sampled_from(times), np.int64)
-        tie = column(st.integers(0, 3), np.int64)
+        t_ns, tie = np.array(sorted(zip(
+            column(st.sampled_from(times), np.int64).tolist(),
+            column(st.integers(0, 3), np.int64).tolist())),
+            dtype=np.int64).reshape(n, 2).T
         columns = {name: column(words, str) if draw(st.booleans())
                    else column(ints, np.int64)
                    for name in draw(st.lists(names, max_size=2,
@@ -794,16 +721,16 @@ def _block(kind, t_ns, tie, **columns):
     _block("consume", [5, 5, 9], [0, 1, 2], node=[3, 4, 5]),
     _block("state_ready", [1, 5, 9], [0, 1, 2], state=[1, 2, 3]),
 ]), 2)
-# a block unsorted in t_ns, whose sort a chunk boundary cuts
+# chunk boundaries inside the time-2 and time-7 tie runs of one block
 @example(S.EventTable([
-    _block("consume", [7, 2, 7, 0, 2], [1, 0, 0, 2, 3],
-           node=[0, 1, 2, 3, 4]),
-    _block("reaction_decision", [3, 8, 1], [2, 0, 1], node=[0, 1, 2]),
+    _block("consume", [0, 2, 2, 7, 7], [2, 0, 3, 0, 1],
+           node=[3, 1, 4, 2, 0]),
+    _block("reaction_decision", [1, 3, 8], [1, 2, 0], node=[2, 0, 1]),
 ]), 3)
 # equal (t_ns, tie) pairs within a block keep their block order
 @example(S.EventTable([
-    _block("reaction_decision", [4, 4, 4, 1, 4], [2, 2, 2, 0, 1],
-           node=[10, 11, 12, 13, 14]),
+    _block("reaction_decision", [1, 4, 4, 4, 4], [0, 1, 2, 2, 2],
+           node=[13, 14, 10, 11, 12]),
     _block("state_ready", [4, 4], [2, 2], state=[7, 8]),
 ]), 1)
 def test_streamed_export_matches_reference(table, chunk):
@@ -833,19 +760,6 @@ def test_run_merge_matches_lexsort_on_lookup_traces(entries, sides,
     n = factories or ccz_rate(spec, BASE).factories_needed
     table = S.simulate_lookup(S.LookupSpec(entries, access_sides=sides),
                               spec, BASE, n).events
-    assert table.rows == (None,) * 4  # every block arrives sorted
-    np.testing.assert_array_equal(table.order, _lexsort_order(table))
-
-
-def test_run_merge_matches_lexsort_on_a_general_dag():
-    rng = np.random.default_rng(5)
-    a, b = np.sort(rng.integers(0, 300, (2, 600)), axis=0)
-    dag = S.ToffoliDag(300, np.unique(np.column_stack([a, b])[a < b],
-                                      axis=0))
-    assert not dag.is_chain
-    table = S.simulate_reaction_limited(dag, SPEC, BASE, 4).events
-    # consume and reaction_decision come in topological order
-    assert [r is None for r in table.rows] == [True, False, False]
     np.testing.assert_array_equal(table.order, _lexsort_order(table))
 
 
@@ -853,6 +767,13 @@ def test_event_table_refuses_a_repeated_kind():
     block = _block("consume", [1], [0])
     with pytest.raises(ValueError, match="one block per kind"):
         S.EventTable([block, block])
+
+
+@pytest.mark.parametrize("t_ns, tie", [([2, 1], [0, 1]), ([1, 1], [1, 0])])
+def test_event_table_refuses_an_unsorted_block(t_ns, tie):
+    with pytest.raises(ValueError, match="consume events are not in"):
+        S.EventTable([_block("state_ready", [0], [0]),
+                      _block("consume", t_ns, tie)])
 
 
 def test_export_refuses_negative_values():
