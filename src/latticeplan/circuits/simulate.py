@@ -70,6 +70,9 @@ ATOL = 1e-9
 # works on that one block in place; the channel check of mux-skip (2^18
 # values, 4 MiB) peaks at 6.3 MiB of numpy memory.
 MAX_KRAUS_VALUES = 1 << 22
+# Random inputs per channel check: `verify all --random-count 10000`
+# takes 2.6 s and 49 MB, against 0.24 s and 46 MB at the default of 3.
+MAX_RANDOM_INPUTS = 10_000
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -384,6 +387,9 @@ def basis_inputs(k: int) -> list[tuple[str, np.ndarray]]:
 
 def random_inputs(k: int, count: int,
                   seed: int = 7) -> list[tuple[str, np.ndarray]]:
+    if count > MAX_RANDOM_INPUTS:
+        raise CapacityError(f"{count} random inputs exceed the cap of "
+                            f"{MAX_RANDOM_INPUTS}")
     rng = np.random.default_rng(seed)
     return [(f"random{i}", random_state(k, rng)) for i in range(count)]
 
@@ -482,6 +488,18 @@ def _byte_groups(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[first_of]
 
 
+def scalar_deviations(ops: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """For each (d, c) operator of the (R, d, c) ``ops``, scaled to the
+    weight of c unit columns, its largest entrywise distance from its
+    least-squares multiple of ``target``: an amplitude error of a
+    normalized column, whatever the scale of either. Neither may be 0."""
+    weight = np.einsum("rdc,rdc->r", ops.conj(), ops).real
+    scaled = ops * np.sqrt(ops.shape[2] / weight)[:, None, None]
+    coeff = np.einsum("dc,rdc->r", target.conj(), scaled) \
+        / np.vdot(target, target).real
+    return np.abs(scaled - coeff[:, None, None] * target).max(axis=(1, 2))
+
+
 def check_channel(circuit: Circuit, unitary: np.ndarray, *,
                   inputs: Sequence[tuple[str, np.ndarray]] | None = None,
                   output_qubits: tuple[int, ...] | None = None
@@ -517,13 +535,7 @@ def check_channel(circuit: Circuit, unitary: np.ndarray, *,
     size = np.bincount(group, minlength=len(reps))
     distinct = kraus[reps]
 
-    # Scale each K_r to the weight of one unit input, so its distance
-    # from c_r U reads as an amplitude error of a normalized branch.
-    weight = np.einsum("rdc,rdc->r", distinct.conj(), distinct).real
-    scaled = distinct * np.sqrt((1 << k) / weight)[:, None, None]
-    coeff = np.einsum("dc,rdc->r", unitary.conj(), scaled) \
-        / np.vdot(unitary, unitary).real
-    errs = np.abs(scaled - coeff[:, None, None] * unitary).max(axis=(1, 2))
+    errs = scalar_deviations(distinct, unitary)
 
     checked = 0
     for _, state in inputs:

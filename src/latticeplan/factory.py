@@ -161,9 +161,6 @@ def select_code_distances(assumptions: PhysicalAssumptions,
     switching the level-2 stage to T factories."""
     if target_volume < 1:
         raise ValueError("target volume must be at least 1")
-    if assumptions.gate_error >= THRESHOLD_ERROR:
-        raise ValueError(
-            "gate_error too close to threshold for tractable computation")
     half = ERROR_BUDGET / 2
 
     def pick(weight: float) -> int:

@@ -6,7 +6,9 @@ measurement whose basis has not been picked yet: plugging it x-colored
 (|0> up to a scalar) activates the branch it guards, z-colored (<+|)
 removes it. Evaluation contracts the diagram to the matrix it denotes,
 inputs to outputs; comparisons are up to boundary Paulis and a scalar,
-matching what Pauli-frame corrections can absorb.
+matching what Pauli-frame corrections can absorb: a diagram passes when
+its ``simulate.scalar_deviations`` from a Pauli sandwich of its target
+is at most the channel check's ATOL, whatever its overall scalar.
 
 This module holds what ``verify --zx`` runs: reading a fixture document,
 evaluating it and comparing with its targets. The hand-drawn diagrams of
@@ -21,6 +23,7 @@ The Hadamard and the CZ and CCZ targets are the matrices of
 from __future__ import annotations
 
 import collections
+import copy
 import dataclasses
 import itertools
 import json
@@ -29,7 +32,7 @@ import math
 import numpy as np
 
 from .circuits.gates import GATES, apply_pauli
-from .circuits.simulate import MAX_KRAUS_VALUES
+from .circuits.simulate import ATOL, MAX_KRAUS_VALUES, scalar_deviations
 from .exceptions import CapacityError
 
 KINDS = ("z", "x", "h", "b", "choice")
@@ -38,7 +41,6 @@ KINDS = ("z", "x", "h", "b", "choice")
 # one tensor (the Kraus walk's 64 MiB; the diagrams here need 512).
 MAX_NODES = 80
 MAX_TENSOR_VALUES = MAX_KRAUS_VALUES
-EQUIV_ATOL = 1e-8
 
 
 @dataclasses.dataclass
@@ -98,30 +100,16 @@ class ZxGraph:
                 raise ValueError(
                     f"{node.kind} node {nid} must have degree 1, has {d}")
 
-    def copy(self) -> "ZxGraph":
-        g = ZxGraph()
-        g.nodes = {n: Node(v.kind, v.phase) for n, v in self.nodes.items()}
-        g.edges = list(self.edges)
-        g.inputs = list(self.inputs)
-        g.outputs = list(self.outputs)
-        g._next_id = self._next_id
-        return g
-
-    def resolve_choice(self, nid: int, color: str) -> "ZxGraph":
-        """Plug one choice stub: color "x" activates the guarded branch,
-        "z" deactivates it."""
-        if color not in ("z", "x"):
-            raise ValueError(f"bad choice color {color!r}")
-        if nid not in self.nodes or self.nodes[nid].kind != "choice":
-            raise ValueError(f"node {nid} is not a choice")
-        g = self.copy()
-        g.nodes[nid] = Node(color, 0)
-        return g
-
     def resolve_choices(self, colors: dict[int, str]) -> "ZxGraph":
-        g = self
+        """A copy of the graph with choice stubs plugged: color "x"
+        activates the branch a stub guards, "z" deactivates it."""
+        g = copy.deepcopy(self)
         for nid, color in colors.items():
-            g = g.resolve_choice(nid, color)
+            if color not in ("z", "x"):
+                raise ValueError(f"bad choice color {color!r}")
+            if nid not in g.nodes or g.nodes[nid].kind != "choice":
+                raise ValueError(f"node {nid} is not a choice")
+            g.nodes[nid] = Node(color, 0)
         return g
 
 
@@ -230,7 +218,8 @@ def evaluate(graph: ZxGraph) -> np.ndarray:
 def equiv_mod_pauli_scalar(actual: np.ndarray, expected: np.ndarray
                            ) -> bool:
     """True when actual = scalar * P_out @ expected @ P_in for some Pauli
-    strings, to within EQUIV_ATOL.
+    strings and a nonzero scalar, to ATOL in ``scalar_deviations``
+    whatever the scale of either; an all-zero matrix matches nothing.
 
     Up to a sign, P_out @ expected @ P_in is the string P_out (x) P_in
     applied to the flattened matrix, so the candidates are all (x, z)
@@ -238,31 +227,29 @@ def equiv_mod_pauli_scalar(actual: np.ndarray, expected: np.ndarray
     return at once. X.Z stands in for Y; the fitted scalar absorbs the
     difference.
     """
-    if actual.shape != expected.shape:
+    if actual.shape != expected.shape or not (actual.any() and expected.any()):
         return False
-    target = actual.reshape(-1)
     flat = expected.reshape(-1)
     size = flat.size
-    denom = float(np.vdot(flat, flat).real)
-    if denom < EQUIV_ATOL:
-        return False
     z = np.arange(size)
     for x in range(size):
         cand = apply_pauli(np.broadcast_to(flat, (size, size)),
                            np.full(size, x), z)
-        scale = (cand.conj() @ target / denom)[:, None]
-        close = np.isclose(target, scale * cand,
-                           atol=EQUIV_ATOL).all(axis=1)
-        if np.any(close & (np.abs(scale[:, 0]) >= EQUIV_ATOL)):
+        cand = cand.reshape((size,) + actual.shape)
+        if scalar_deviations(cand, actual).min() <= ATOL:
             return True
     return False
 
 
-def graph_from_json(text: str) -> ZxGraph:
-    doc = json.loads(text)
+def graph_from_json(doc: dict) -> ZxGraph:
+    """The graph of a parsed JSON document; a node id given twice raises
+    ValueError."""
     g = ZxGraph()
     for rec in doc["nodes"]:
-        g.nodes[int(rec["id"])] = Node(rec["kind"], int(rec.get("phase", 0)))
+        nid = int(rec["id"])
+        if nid in g.nodes:
+            raise ValueError(f"duplicate node id {nid}")
+        g.nodes[nid] = Node(rec["kind"], int(rec.get("phase", 0)))
     g._next_id = max(g.nodes, default=-1) + 1
     for a, b in doc["edges"]:
         g.add_edge(int(a), int(b))
@@ -289,7 +276,7 @@ def run_fixture(text: str) -> list[tuple[str, bool]]:
     """
     doc = json.loads(text)
     try:
-        graph = graph_from_json(json.dumps(doc["graph"]))
+        graph = graph_from_json(doc["graph"])
         cases = [({int(k): v for k, v in case["choices"].items()},
                   case["target"]) for case in doc["cases"]]
     except (AttributeError, KeyError, TypeError) as exc:

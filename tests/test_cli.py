@@ -197,6 +197,26 @@ def test_verify_fail_line_names_the_first_failing_outcome(monkeypatch,
         f"{passed.max_amplitude_error:.1e}"]
 
 
+def test_verify_random_count_over_the_cap(capsys):
+    # refused before any random state is built
+    from latticeplan.circuits import simulate
+    cap = simulate.MAX_RANDOM_INPUTS
+    assert len(simulate.random_inputs(2, cap)) == cap
+    for count in (cap + 1, 10 ** 18):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "verify", "cz-apply",
+                                 "--random-count", str(count))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: {count} random inputs exceed the cap of "
+                       f"{cap}\n")
+        assert peak < 1 << 20
+
+
 def test_verify_seed_override(monkeypatch, capsys):
     monkeypatch.setenv("LATTICEPLAN_SEED", "99")
     code, out, _ = run(capsys, "verify", "autoccz", "--random-count", "2")
@@ -517,7 +537,11 @@ def _fixture_doc():
     (lambda doc: {**doc, "cases": [{"choices": {"999": "x"},
                                     "target": "CZ"}]},
      "node 999 is not a choice"),
-], ids=["empty object", "list", "unknown target", "unknown choice"])
+    (lambda doc: {**doc, "graph": {**doc["graph"], "nodes": [
+        *doc["graph"]["nodes"], {"id": 4, "kind": "x", "phase": 0}]}},
+     "duplicate node id 4"),
+], ids=["empty object", "list", "unknown target", "unknown choice",
+        "duplicate node id"])
 def test_malformed_zx_fixture_is_one_error_line(tmp_path, capsys, edit,
                                                 message):
     code, out, err = _verify_fixture(tmp_path, capsys, edit(_fixture_doc()))

@@ -16,8 +16,10 @@ import re
 from latticeplan import cli
 
 MANIFEST = pathlib.Path(__file__).with_name("golden_outputs.json")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-# "{out}" stands for a file in a scratch directory, its suffix kept.
+# "{out}" stands for a file in a scratch directory, its suffix kept, and
+# "{root}" for the root of the repository.
 ARGVS = (
     ("verify", "all"),
     ("verify", "all", "--json"),
@@ -51,6 +53,9 @@ ARGVS = (
     ("layout", "--m", "1000", "--json"),
     ("schedule", "--m", "2", "--out", "{out}.jsonl"),
     ("schedule", "--m", "8", "--factories", "20", "--out", "{out}.jsonl"),
+    ("verify", "cz-apply", "--zx", "{root}/fixtures/delayed_choice_cz.json"),
+    ("verify", "cz-apply", "--zx", "{root}/fixtures/delayed_choice_cz.json",
+     "--json"),
 )
 
 # The "max err" figures come from floating-point reductions that may
@@ -66,7 +71,8 @@ def _digest(data: bytes) -> dict:
 def outputs(argv: tuple[str, ...], tmp: pathlib.Path) -> dict:
     """Run one argv in process; the digests of its stdout and --out file."""
     out = tmp / "out"
-    args = [a.replace("{out}", str(out)) for a in argv]
+    args = [a.replace("{out}", str(out)).replace("{root}", str(ROOT))
+            for a in argv]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf), \
             contextlib.redirect_stderr(io.StringIO()):

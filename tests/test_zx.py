@@ -287,9 +287,9 @@ def test_choice_resolution_activates_or_removes():
 def test_resolve_twice_rejected():
     g = delayed_choice_cz_graph()
     ch = g.choices()[0]
-    once = g.resolve_choice(ch, "x")
+    once = g.resolve_choices({ch: "x"})
     with pytest.raises(ValueError):
-        once.resolve_choice(ch, "z")
+        once.resolve_choices({ch: "z"})
 
 
 def test_evaluate_rejects_unresolved_choices():
@@ -330,7 +330,7 @@ def test_equiv_mod_pauli_scalar_cases():
 
 def test_json_round_trip():
     g = ring_resource_graph()
-    other = zx.graph_from_json(graph_to_json(g))
+    other = zx.graph_from_json(json.loads(graph_to_json(g)))
     assert other.nodes.keys() == g.nodes.keys()
     assert all(other.nodes[k] == g.nodes[k] for k in g.nodes)
     assert sorted(tuple(sorted(e)) for e in other.edges) == \
@@ -424,21 +424,44 @@ def test_ccz_gadget_phases_sum_per_wire():
     assert zx.equiv_mod_pauli_scalar(state, expect)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.integers(1, 2), st.integers(1, 2),
-       st.lists(st.sampled_from("IXYZ"), min_size=4, max_size=4),
-       st.integers(0, 2 ** 32 - 1))
-def test_equiv_mod_pauli_scalar_accepts_every_pauli_sandwich(
-        n_out, n_in, paulis, seed):
-    """c * P_out @ E @ P_in matches E for random E, Paulis (Y included)
-    and nonzero c."""
+def _pauli_sandwich(n_out, n_in, paulis, seed, log_c):
+    """Random E and c * P_out @ E @ P_in, |c| = 10^log_c."""
     rng = np.random.default_rng(seed)
     shape = (1 << n_out, 1 << n_in)
     e = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     p_out = functools.reduce(np.kron, [GATES[p] for p in paulis[:n_out]])
     p_in = functools.reduce(np.kron, [GATES[p] for p in paulis[2:2 + n_in]])
-    c = rng.uniform(0.1, 10) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-    assert zx.equiv_mod_pauli_scalar(c * p_out @ e @ p_in, e)
+    c = 10.0 ** log_c * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    return e, c * p_out @ e @ p_in
+
+
+_SANDWICHES = (st.integers(1, 2), st.integers(1, 2),
+               st.lists(st.sampled_from("IXYZ"), min_size=4, max_size=4),
+               st.integers(0, 2 ** 32 - 1), st.floats(-12, 12))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(*_SANDWICHES)
+def test_equiv_mod_pauli_scalar_accepts_every_pauli_sandwich(
+        n_out, n_in, paulis, seed, log_c):
+    """c * P_out @ E @ P_in matches E for random E, Paulis (Y included)
+    and nonzero c of any scale in [1e-12, 1e12]."""
+    e, sandwich = _pauli_sandwich(n_out, n_in, paulis, seed, log_c)
+    assert zx.equiv_mod_pauli_scalar(sandwich, e)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(*_SANDWICHES, st.integers(0, 15), st.floats(-6, 0),
+       st.floats(0, 2 * np.pi))
+def test_equiv_mod_pauli_scalar_rejects_a_perturbed_entry(
+        n_out, n_in, paulis, seed, log_c, entry, log_size, angle):
+    """One entry of c * P_out @ E @ P_in moved by 10^log_size >= 1e-6
+    of its largest entry fails to match E, at every scale of c."""
+    e, sandwich = _pauli_sandwich(n_out, n_in, paulis, seed, log_c)
+    flat = sandwich.reshape(-1)
+    flat[entry % flat.size] += 10.0 ** log_size * np.abs(flat).max() \
+        * np.exp(1j * angle)
+    assert not zx.equiv_mod_pauli_scalar(sandwich, e)
 
 
 def test_evaluate_refuses_a_wide_contraction():
