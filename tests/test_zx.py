@@ -458,9 +458,8 @@ def test_equiv_mod_pauli_scalar_rejects_a_perturbed_entry(
     """One entry of c * P_out @ E @ P_in moved by 10^log_size >= 1e-6
     of its largest entry fails to match E, at every scale of c."""
     e, sandwich = _pauli_sandwich(n_out, n_in, paulis, seed, log_c)
-    flat = sandwich.reshape(-1)
-    flat[entry % flat.size] += 10.0 ** log_size * np.abs(flat).max() \
-        * np.exp(1j * angle)
+    sandwich.flat[entry % sandwich.size] += 10.0 ** log_size \
+        * np.abs(sandwich).max() * np.exp(1j * angle)
     assert not zx.equiv_mod_pauli_scalar(sandwich, e)
 
 
