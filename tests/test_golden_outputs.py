@@ -56,6 +56,14 @@ ARGVS = (
     ("verify", "cz-apply", "--zx", "{root}/fixtures/delayed_choice_cz.json"),
     ("verify", "cz-apply", "--zx", "{root}/fixtures/delayed_choice_cz.json",
      "--json"),
+    ("estimate", "--config", "{root}/fixtures/fast.cfg", "--d1", "17",
+     "--d2", "27"),
+    ("estimate", "--config", "{root}/fixtures/slow.cfg", "--d1", "17",
+     "--d2", "27"),
+    ("estimate", "--config", "{root}/fixtures/low.cfg"),
+    ("schedule", "--config", "{root}/fixtures/low.cfg", "--m", "1000"),
+    ("layout", "--config", "{root}/fixtures/d2_15.cfg", "--m", "1000",
+     "--out", "{out}.json"),
 )
 
 # The "max err" figures come from floating-point reductions that may
