@@ -7,9 +7,11 @@ unitary matrices over their arity. A gate is applied in place
 output sub-block is written from the nonzero entries of its matrix row by
 copies, negations, sums and scalings, with no transposed copy and no BLAS
 call, so every amplitude is the same rounded operations however many
-registers and columns are carried along. A monomial gate (all but H)
-touches only the sub-blocks it changes, but the branch walk applies none
-of ``SIGNED_AFFINE`` (CX, CZ, ...): it gathers a run of them at once.
+registers and columns are carried along. Every matrix takes the one
+row-by-row path; a row that is its own basis vector is left alone, so a
+monomial gate touches only the sub-blocks it changes. The branch walk
+applies none of ``SIGNED_AFFINE`` (CX, CZ, ...) here: it gathers a run of
+them at once.
 
 ``apply_pauli`` is the one place a Pauli string X^x Z^z is applied, given
 as bit masks over the row index: each outcome's recorded frame in the
@@ -99,12 +101,13 @@ def apply_in_place(block: np.ndarray, u: np.ndarray, qubits: Sequence[int],
     along. The rows must reshape without a copy, as they do in a
     C-contiguous array.
 
-    A monomial ``u`` (one nonzero per row and per column, every gate but
-    H) writes only what it changes: a fixed point with coefficient 1 is
-    left alone, any other is scaled in place, and each cycle of the
-    permutation is carried through one sub-block temporary. Any other
-    matrix is written row by row, and a sub-block is saved before its
-    row overwrites it if a later row reads it: H saves one half.
+    Output sub-block j is written from row j of ``u``, one row after
+    another. A row that is its own unit basis vector (a single 1, on the
+    diagonal) is skipped, so its sub-block is neither read nor written,
+    and a sub-block is saved before its row overwrites it only if a
+    later row reads it. So H saves one half, a gate that swaps a pair of
+    sub-blocks (X, Y, CX, SWAP, CCX) one sub-block, and a diagonal gate
+    none: Z, CZ and CCZ negate their last sub-block in place.
     """
     k = len(qubits)
     if u.shape != (1 << k, 1 << k):
@@ -135,45 +138,19 @@ def apply_in_place(block: np.ndarray, u: np.ndarray, qubits: Sequence[int],
             index[axis] = (j >> (k - 1 - i)) & 1
         return t[tuple(index)]
 
-    dim = 1 << k
-    cols = [np.flatnonzero(row) for row in u]
-    source = [c[0] if len(c) == 1 else -1 for c in cols]
-    if sorted(source) != list(range(dim)):
-        # Row j overwrites sub-block j, so the sub-block is saved first if
-        # a later row reads it; its own row passes it as ``target``.
-        saved: dict[int, np.ndarray] = {}
-        for j, row in enumerate(u):
-            target = sub(view, j)
-            if u[j + 1:, j].any():
-                saved[j] = target.copy()
-            terms = []
-            for i in cols[j]:
-                block_i = saved.get(i)
-                if block_i is None:
-                    block_i = target if i == j else sub(view, i)
-                terms.append((row[i], block_i))
-            _write_row(target, terms)
-        return
-    done = [False] * dim
-    for start in range(dim):
-        if done[start]:
+    # Row j overwrites sub-block j, so the sub-block is saved first if a
+    # later row reads it; its own row passes it as ``target``.
+    saved: dict[int, np.ndarray] = {}
+    for j, row in enumerate(u):
+        cols = np.flatnonzero(row)
+        if cols.tolist() == [j] and row[j] == 1:
             continue
-        if source[start] == start:
-            done[start] = True
-            if u[start, start] != 1:
-                target = sub(view, start)
-                _write_row(target, [(u[start, start], target)])
-            continue
-        # out[j] = u[j, source[j]] in[source[j]] around the cycle, the
-        # last one from the saved first sub-block
-        first = sub(view, start).copy()
-        j = start
-        while not done[j]:
-            done[j] = True
-            i = source[j]
-            _write_row(sub(view, j),
-                       [(u[j, i], first if i == start else sub(view, i))])
-            j = i
+        target = sub(view, j)
+        if u[j + 1:, j].any():
+            saved[j] = target.copy()
+        terms = [(row[i], saved.get(i, target if i == j else sub(view, i)))
+                 for i in cols]
+        _write_row(target, terms)
 
 
 def reshape_view(a: np.ndarray, shape) -> np.ndarray:

@@ -4,6 +4,7 @@ Convention under test: qubit 0 is the most significant bit of the basis
 index.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -17,6 +18,7 @@ from latticeplan.circuits import (GATES, MAX_QUBITS, Circuit, Measure,
                                   check_channel, enumerate_branches,
                                   kron_with_ancillas, plus_state,
                                   random_state)
+from latticeplan.circuits import gates
 from latticeplan.circuits.gates import (GATE_ARITY, SIGNED_AFFINE,
                                         _write_row, apply_in_place)
 from latticeplan.exceptions import CapacityError
@@ -247,6 +249,51 @@ def test_apply_unitary_matches_dense_kron(case, seed):
             assert np.array_equal(whole[b, :, c], want)
             assert np.array_equal(some[b, :, c],
                                   want if b in chosen else batch[b, :, c])
+
+
+def _is_own_basis_row(u, j):
+    return np.flatnonzero(u[j]).tolist() == [j] and u[j, j] == 1
+
+
+@pytest.mark.parametrize("name", sorted(GATES))
+def test_apply_in_place_writes_each_changed_row_once(name, monkeypatch):
+    """One `_write_row` per row of u that is not its own unit basis
+    vector, on a whole block and on a gathered sub-batch."""
+    u = GATES[name]
+    k = GATE_ARITY[name]
+    want = sum(not _is_own_basis_row(u, j) for j in range(len(u)))
+    calls = []
+
+    def count(target, terms):
+        calls.append(len(terms))
+        _write_row(target, terms)
+
+    monkeypatch.setattr(gates, "_write_row", count)
+    n = k + 2
+    block = np.ones((4, 1 << n, 3), dtype=np.complex128)
+    for qubits in itertools.permutations(range(n), k):
+        for part in (block, block[np.array([0, 2])]):
+            calls.clear()
+            apply_in_place(part, u, qubits, n)
+            assert len(calls) == want, (name, qubits)
+
+
+@pytest.mark.parametrize("name, saved", [
+    ("X", 1 / 2), ("CX", 1 / 4), ("SWAP", 1 / 4), ("CCX", 1 / 8),
+    ("Z", 0), ("CZ", 0), ("CCZ", 0)])
+def test_apply_in_place_peak_memory(name, saved):
+    """At n = 14, a gate with a 2-cycle saves one sub-block (the fraction
+    ``saved`` of the block) and a real diagonal gate saves none, within a
+    slack of 16 KiB, a sixteenth of the 256 KiB block."""
+    n = 14
+    block = np.zeros((1, 1 << n), dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        apply_in_place(block, GATES[name], tuple(range(GATE_ARITY[name])), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= saved * block.nbytes + (16 << 10), peak / block.nbytes
 
 
 def test_apply_in_place_refuses_rows_that_need_a_copy():
