@@ -57,12 +57,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--config", metavar="FILE",
-                        help="assumptions file (key = value lines)")
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    common.add_argument("--out", metavar="FILE",
-                        help="write trace or floorplan to FILE")
     parser = _Parser(
         prog="latticeplan",
         description="Verify adaptive lattice-surgery constructions and "
@@ -111,6 +107,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        type=_positive_int(2, "factories"), default=14)
     p_lay.add_argument("--d1", type=_positive_int(3, "d1"))
     p_lay.add_argument("--d2", type=_positive_int(3, "d2"))
+    for p in (p_est, p_sched, p_lay):
+        p.add_argument("--config", metavar="FILE",
+                       help="assumptions file (key = value lines)")
+    for p in (p_sched, p_lay):
+        p.add_argument("--out", metavar="FILE",
+                       help="write trace or floorplan to FILE")
     return parser
 
 
@@ -123,13 +125,9 @@ def _load_setup(args) -> tuple[PhysicalAssumptions, FactorySpec, bool]:
             assumptions, overrides = parse_assumptions_file(fh.read())
     else:
         assumptions = PhysicalAssumptions()
-    spec_kwargs = {}
-    for key in ("d1", "d2"):
-        if key in overrides:
-            spec_kwargs[key] = overrides[key]
-        flag = getattr(args, key, None)
-        if flag is not None:
-            spec_kwargs[key] = flag
+    # a flag overrides the file's d1/d2, its only override keys
+    spec_kwargs = {**overrides, **{key: getattr(args, key) for key in
+                                   ("d1", "d2") if getattr(args, key)}}
     return assumptions, FactorySpec(**spec_kwargs), bool(spec_kwargs)
 
 

@@ -241,20 +241,40 @@ def equiv_mod_pauli_scalar(actual: np.ndarray, expected: np.ndarray
     return False
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` if a JSON integer; ``int()`` would read 1.5 or true."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} {json.dumps(value)} is not an integer")
+    return value
+
+
+def _object(pairs: list) -> dict:
+    """A JSON object; a repeated key, which ``json.loads`` lets replace
+    the first, raises ValueError."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def graph_from_json(doc: dict) -> ZxGraph:
-    """The graph of a parsed JSON document; a node id given twice raises
+    """The graph of a parsed JSON document; a node id given twice, or an
+    id, phase, edge end or boundary that is not a JSON integer, raises
     ValueError."""
     g = ZxGraph()
     for rec in doc["nodes"]:
-        nid = int(rec["id"])
+        nid = _json_int(rec["id"], "node id")
         if nid in g.nodes:
             raise ValueError(f"duplicate node id {nid}")
-        g.nodes[nid] = Node(rec["kind"], int(rec.get("phase", 0)))
+        g.nodes[nid] = Node(rec["kind"],
+                            _json_int(rec.get("phase", 0), "phase"))
     g._next_id = max(g.nodes, default=-1) + 1
     for a, b in doc["edges"]:
-        g.add_edge(int(a), int(b))
-    g.inputs = [int(x) for x in doc["inputs"]]
-    g.outputs = [int(x) for x in doc["outputs"]]
+        g.add_edge(_json_int(a, "edge end"), _json_int(b, "edge end"))
+    g.inputs = [_json_int(x, "input") for x in doc["inputs"]]
+    g.outputs = [_json_int(x, "output") for x in doc["outputs"]]
     g.validate()
     return g
 
@@ -270,14 +290,17 @@ def run_fixture(text: str) -> list[tuple[str, bool]]:
     """Check a fixture document: a diagram with choice stubs plus cases
     mapping choice resolutions to named targets.
 
-    A malformed document, a target not in TARGETS or a choice that names
-    no stub raises ValueError; a diagram too large to evaluate raises as
-    ``evaluate`` does.
+    A malformed document (a repeated key included), a target not in
+    TARGETS or a choice that names no stub raises ValueError; a diagram
+    too large to evaluate raises as ``evaluate`` does.
     """
-    doc = json.loads(text)
+    doc = json.loads(text, object_pairs_hook=_object)
     try:
         graph = graph_from_json(doc["graph"])
-        cases = [({int(k): v for k, v in case["choices"].items()},
+        # a key names a stub only as str() writes its id (int() reads "011",
+        # " 11" and "1_1" as 11); resolve_choices refuses any other key
+        stubs = {str(n): n for n in graph.choices()}
+        cases = [({stubs.get(k, k): v for k, v in case["choices"].items()},
                   case["target"]) for case in doc["cases"]]
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed fixture: {type(exc).__name__} {exc}") \

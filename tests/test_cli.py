@@ -123,6 +123,22 @@ def test_config_time_beyond_a_float_is_refused(tmp_path, capsys, argv,
                    "for cycle_time_us\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "cz-apply", "--config", "/nonexistent"),
+    ("verify", "cz-apply", "--out", "{out}"),
+    ("estimate", "--out", "{out}"),
+])
+def test_flags_a_command_does_not_read_are_refused(tmp_path, capsys, argv):
+    out_file = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.replace("{out}", str(out_file)) for a in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "error: unrecognized arguments: --" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not out_file.exists()
+
+
 # ------------------------------------------------------------- verify
 
 
@@ -520,13 +536,27 @@ def test_layout_huge_factory_count_refused_before_lanes(capsys):
 
 
 def _verify_fixture(tmp_path, capsys, doc):
+    """Run a fixture document, or a JSON text written as it is."""
     path = tmp_path / "fixture.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return run(capsys, "verify", "cz-apply", "--zx", str(path))
 
 
 def _fixture_doc():
     return json.loads(pathlib.Path(FIXTURE).read_text())
+
+
+def _choices(doc, choices, target="CZ"):
+    return {**doc, "cases": [{"choices": choices, "target": target}]}
+
+
+def _graph(doc, **fields):
+    return {**doc, "graph": {**doc["graph"], **fields}}
+
+
+def _node(doc, nid, **fields):
+    return _graph(doc, nodes=[{**rec, **fields} if rec["id"] == nid else rec
+                              for rec in doc["graph"]["nodes"]])
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -540,8 +570,32 @@ def _fixture_doc():
     (lambda doc: {**doc, "graph": {**doc["graph"], "nodes": [
         *doc["graph"]["nodes"], {"id": 4, "kind": "x", "phase": 0}]}},
      "duplicate node id 4"),
+    # int() would read each of these keys as 11, the last one winning
+    (lambda doc: _choices(doc, {"11": "x", "12": "x", "011": "z",
+                                "012": "z"}, "I2"),
+     "node 011 is not a choice"),
+    (lambda doc: _choices(doc, {" 11": "x", "12": "x"}),
+     "node  11 is not a choice"),
+    (lambda doc: _choices(doc, {"1_1": "x", "12": "x"}),
+     "node 1_1 is not a choice"),
+    # json.loads alone would keep the last "11"
+    (lambda doc: json.dumps(_choices(doc, {"11": "z", "12": "z"})).replace(
+        '"12": "z"', '"12": "z", "11": "x"'), "repeated key '11'"),
+    # int() would truncate these numbers, or read true as 1
+    (lambda doc: _node(doc, 4, phase=1.5), "phase 1.5 is not an integer"),
+    (lambda doc: _node(doc, 4, phase=True), "phase true is not an integer"),
+    (lambda doc: _node(doc, 12, id=12.9), "node id 12.9 is not an integer"),
+    (lambda doc: _graph(doc, edges=[[False, 4], *doc["graph"]["edges"][1:]]),
+     "edge end false is not an integer"),
+    (lambda doc: _graph(doc, inputs=[0.0, 1]), "input 0.0 is not an integer"),
+    (lambda doc: _graph(doc, outputs=[2, 3.0]),
+     "output 3.0 is not an integer"),
 ], ids=["empty object", "list", "unknown target", "unknown choice",
-        "duplicate node id"])
+        "duplicate node id", "choice key with a leading zero",
+        "choice key with a space", "choice key with an underscore",
+        "repeated key", "fractional phase", "boolean phase",
+        "fractional node id", "boolean edge end", "float input",
+        "float output"])
 def test_malformed_zx_fixture_is_one_error_line(tmp_path, capsys, edit,
                                                 message):
     code, out, err = _verify_fixture(tmp_path, capsys, edit(_fixture_doc()))
