@@ -98,8 +98,7 @@ class Branch:
 
 
 def input_qubits_of(circuit: Circuit) -> tuple[int, ...]:
-    if not circuit.initial_states:
-        return ()
+    """The wires the circuit starts in state ``"?"``, its inputs."""
     return tuple(q for q, s in enumerate(circuit.initial_states) if s == "?")
 
 
@@ -109,7 +108,7 @@ def initial_vector(circuit: Circuit, input_state: np.ndarray | None,
     given. A ``(2^k, C)`` input gives C registers side by side."""
     n = circuit.num_qubits
     inits = circuit.initial_states or ("0",) * n
-    data_qubits = tuple(q for q, s in enumerate(inits) if s == "?")
+    data_qubits = input_qubits_of(circuit)
     if data_qubits:
         if input_state is None:
             raise ValueError("circuit has input qubits but no input given")
@@ -451,40 +450,23 @@ def kraus_operators(circuit: Circuit, output_qubits: tuple[int, ...]
     return bits, kraus[member], stubs
 
 
-# A row of 8 or more times this many 64-bit words is first compared on
-# every (odd) step-th word, about this many: the sample reads few of the
-# row's cache lines, and rows whose samples differ differ.
-_SAMPLE_WORDS = 1024
-
-
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group the rows of a C-contiguous (R, ...) array by their bytes.
     Returns the index of the first row of each group, ascending, and the
-    (R,) group number of every row. Wide rows are first compared on a
-    sample of their words; only if two samples are equal are the whole
-    rows compared."""
+    (R,) group number of every row.
+
+    Each row is viewed as one opaque (void) element, which numpy orders
+    by its bytes as ``memcmp`` does: a stable argsort moves only indices,
+    and a binary search finds for every row the first of its equals. A
+    comparison of two rows stops at the first byte that differs."""
     count = len(rows)
     if not count:
         return np.zeros((2, 0), dtype=np.intp)
-    words = rows.reshape(count, -1).view(np.uint64)
-    step = words.shape[1] // _SAMPLE_WORDS | 1
-    if step >= 8:
-        first, group = _byte_groups(np.ascontiguousarray(words[:, ::step]))
-        if len(first) == count:
-            return first, group
-    return _byte_groups(words)
-
-
-def _byte_groups(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_distinct_rows`` of a C-contiguous (R, W) array. Each row is
-    viewed as one opaque (void) element, which numpy orders by its bytes
-    as ``memcmp`` does: a stable argsort moves only indices, and a binary
-    search finds for every row the first of its equals. A comparison of
-    two rows stops at the first byte that differs."""
-    cells = words.view(np.dtype((np.void, words[0].nbytes)))[:, 0]
+    flat = rows.reshape(count, -1)
+    cells = flat.view(np.dtype((np.void, flat[0].nbytes)))[:, 0]
     order = np.argsort(cells, kind="stable")
     first_of = order[np.searchsorted(cells, cells, sorter=order)]
-    is_first = first_of == np.arange(len(words))
+    is_first = first_of == np.arange(count)
     return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[first_of]
 
 

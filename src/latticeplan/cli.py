@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks passed, 1 a check or validation failed, 2 usage
 or configuration error. Each command imports the modules it runs in its
-handler, so `schedule`, `layout` and `estimate` load no circuit code.
+handler, so `schedule`, `layout` and `estimate` load no circuit code, and
+`verify` loads the ZX checker only for `--zx`.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="adder register size in bits")
     p_sched.add_argument("--lookup", type=_positive_int(2, "lookup"),
                          help="table size for a lookup schedule")
-    p_sched.add_argument("--sides", type=int, choices=(1, 2), default=2)
+    p_sched.add_argument("--sides", type=int, choices=(1, 2),
+                         help="lookup access hallways (default 2)")
     p_sched.add_argument("--factories",
                          type=_positive_int(1, "factories"))
     p_sched.add_argument("--d1", type=_positive_int(3, "d1"))
@@ -103,8 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="adder register size in bits")
     p_lay.add_argument("--rows", type=_positive_int(1, "rows"),
                        help="lookup register rows")
-    p_lay.add_argument("--factories",
-                       type=_positive_int(2, "factories"), default=14)
+    p_lay.add_argument("--factories", type=_positive_int(2, "factories"),
+                       help="adder factory count (default 14)")
     p_lay.add_argument("--d1", type=_positive_int(3, "d1"))
     p_lay.add_argument("--d2", type=_positive_int(3, "d2"))
     for p in (p_est, p_sched, p_lay):
@@ -142,7 +144,7 @@ def _adder_bits(name: str) -> int | None:
 
 
 def _cmd_verify(args) -> int:
-    from . import constructions, zx
+    from . import constructions
     seed = int(os.environ.get("LATTICEPLAN_SEED", DEFAULT_SEED))
     names = list(args.names)
     if not names or names == ["all"]:
@@ -165,6 +167,7 @@ def _cmd_verify(args) -> int:
             print(f"error: unknown construction {name!r}", file=sys.stderr)
             return 2
     if args.zx:
+        from . import zx
         with open(args.zx, encoding="utf-8") as fh:
             for label, ok in zx.run_fixture(fh.read()):
                 results.append((f"zx {label}", ok, "graph case"))
@@ -230,9 +233,13 @@ def _cmd_schedule(args) -> int:
     if args.m is None and args.lookup is None:
         print("error: schedule needs --m and/or --lookup", file=sys.stderr)
         return 2
-    if args.m is not None and args.lookup is not None:
+    if args.lookup is None and args.sides is not None:
+        print("error: --sides needs --lookup", file=sys.stderr)
+        return 2
+    if args.lookup is not None:
         lookup = scheduler.LookupSpec(entries=args.lookup,
-                                      access_sides=args.sides)
+                                      access_sides=args.sides or 2)
+    if args.m is not None and args.lookup is not None:
         trace = scheduler.phase_timeline(lookup, args.m, spec, assumptions, n)
         makespan = trace.makespan_ns
         summary = {
@@ -245,8 +252,6 @@ def _cmd_schedule(args) -> int:
             dur = trace.summary["durations_ns"][phase]
             lines.append(f"{phase + ':':<15} {format_ms(dur)}")
     elif args.lookup is not None:
-        lookup = scheduler.LookupSpec(entries=args.lookup,
-                                      access_sides=args.sides)
         # the summary comes from the closed form; events only for --out
         pace = scheduler.lookup_pace(lookup, spec, assumptions, n)
         trace = scheduler.simulate_lookup(lookup, spec, assumptions, n) \
@@ -299,8 +304,11 @@ def _cmd_layout(args) -> int:
         print("error: layout needs exactly one of --m or --rows",
               file=sys.stderr)
         return 2
+    if args.m is None and args.factories is not None:
+        print("error: --factories needs --m", file=sys.stderr)
+        return 2
     if args.m is not None:
-        plan = layout.plan_adder_layout(args.m, spec, args.factories)
+        plan = layout.plan_adder_layout(args.m, spec, args.factories or 14)
     else:
         plan = layout.plan_lookup_layout(args.rows, spec)
     try:

@@ -6,6 +6,14 @@ fixed resource: a delayed-choice CZ pair, its multiplexed two-branch
 variant, a nine-qubit ring resource that delivers a CCZ, the Toffoli built
 from that ring, and ripple-carry adders whose only non-Clifford gates are
 CCZs.
+
+Each fact is stated once. A construction's input wires are the ``"?"``
+initial states of its circuit; the delayed-choice CZ is one op list
+whose bases and frame keys follow the choice; the AutoCCZ and the
+Toffoli are one ring builder, the Toffoli conjugating its target wire by
+H; the adder is the MAJ and UMA blocks of ``build_maj`` and
+``build_uma``, relabelled onto each stage's wires, around a fused apex;
+and ``TARGETS`` is the one table of named targets, which ``zx`` reads.
 """
 
 from __future__ import annotations
@@ -14,21 +22,25 @@ import dataclasses
 
 import numpy as np
 
-from .circuits import (CGate, Circuit, Condition, FALSE, FrameUpdate, Gate,
-                       GATES, Measure, basis_inputs, check_channel,
-                       parse_condition, random_inputs)
+from .circuits import (Circuit, Condition, FrameUpdate, Gate, GATES, Measure,
+                       basis_inputs, check_channel, parse_condition,
+                       random_inputs)
 # nothing here calls run_reversible_table (verify_adder runs the bit-sliced
 # core itself), but bench/tracing.py patches this name
 from .circuits import run_reversible_table  # noqa: F401
 from .circuits.reversible import (LANES, check_table_width, index_word,
                                   run_words, word_count)
-from .circuits.simulate import ChannelReport
+from .circuits.simulate import ChannelReport, input_qubits_of
 from .scheduler import adder_toffolis
 
-CZ_MATRIX = GATES["CZ"]
-CCZ_MATRIX = GATES["CCZ"]
-CCX_MATRIX = GATES["CCX"]
-IDENTITY2 = np.eye(4, dtype=np.complex128)
+# The named targets of the constructions and of the ZX fixture cases.
+TARGETS: dict[str, np.ndarray] = {
+    "I2": np.eye(4, dtype=np.complex128),
+    "CZ": GATES["CZ"],
+    "CCZ": GATES["CCZ"],
+}
+CZ_MATRIX = TARGETS["CZ"]
+CCZ_MATRIX = TARGETS["CCZ"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -39,9 +51,13 @@ class Construction:
     name: str
     circuit: Circuit
     target: np.ndarray
-    input_qubits: tuple[int, ...]
     output_qubits: tuple[int, ...]
     routing_qubits: tuple[int, ...]
+
+    @property
+    def input_qubits(self) -> tuple[int, ...]:
+        """The circuit's ``"?"`` wires, as ``input_qubits_of`` reads them."""
+        return input_qubits_of(self.circuit)
 
 
 def build_delayed_choice_cz(apply: bool) -> Construction:
@@ -51,30 +67,20 @@ def build_delayed_choice_cz(apply: bool) -> Construction:
     Z-measuring the pair applies the CZ with crossed frame keys; X-basis
     removes it with uncrossed keys.
     """
-    ops: list = [
+    basis, keys = ("z", ("m2", "m1")) if apply else ("x", ("m1", "m2"))
+    ops = (
         Gate("CZ", (2, 3)),
         Gate("CX", (0, 2)),
         Gate("CX", (1, 3)),
-    ]
-    if apply:
-        ops += [
-            Measure(2, "m1", "z"),
-            Measure(3, "m2", "z"),
-            FrameUpdate(0, "Z", parse_condition("m2")),
-            FrameUpdate(1, "Z", parse_condition("m1")),
-        ]
-    else:
-        ops += [
-            Measure(2, "m1", "x"),
-            Measure(3, "m2", "x"),
-            FrameUpdate(0, "Z", parse_condition("m1")),
-            FrameUpdate(1, "Z", parse_condition("m2")),
-        ]
+        Measure(2, "m1", basis),
+        Measure(3, "m2", basis),
+        FrameUpdate(0, "Z", parse_condition(keys[0])),
+        FrameUpdate(1, "Z", parse_condition(keys[1])),
+    )
     return Construction(
         name="cz-apply" if apply else "cz-skip",
-        circuit=Circuit(4, tuple(ops), ("?", "?", "+", "+")),
-        target=CZ_MATRIX if apply else IDENTITY2,
-        input_qubits=(0, 1),
+        circuit=Circuit(4, ops, ("?", "?", "+", "+")),
+        target=TARGETS["CZ" if apply else "I2"],
         output_qubits=(0, 1),
         routing_qubits=(2, 3),
     )
@@ -110,11 +116,16 @@ def ring_resource_ops() -> tuple:
     return tuple(ops)
 
 
-def _autoccz_ops() -> tuple:
-    """The ring consumption without its Pauli frame updates: each caller
-    appends the frames its own basis change needs."""
-    ops = list(ring_resource_ops())
-    ops += [
+def _ring_construction(toffoli: bool) -> Construction:
+    """CCZ on qubits 0, 1, 2 consumed from the ring resource using only
+    measurements whose bases depend on earlier outcomes. With
+    ``toffoli``, H on wire 2 before and after the ring makes it a Toffoli
+    onto wire 2, whose Z frame commutes through the trailing H as an X
+    frame."""
+    h = (Gate("H", (2,)),) if toffoli else ()
+    ops = [
+        *h,
+        *ring_resource_ops(),
         Gate("CX", (0, 3)),
         Gate("CX", (1, 6)),
         Gate("CX", (2, 9)),
@@ -126,42 +137,26 @@ def _autoccz_ops() -> tuple:
         flip = parse_condition(key)
         ops.append(Measure(pair[0], ukeys[0], "z", flip))
         ops.append(Measure(pair[1], ukeys[1], "z", flip))
-    return tuple(ops)
+    ops += h
+    ops += [FrameUpdate(wire, "X" if toffoli and wire == 2 else "Z", cond)
+            for wire, cond in _AUTOCCZ_Z_FRAMES.items()]
+    return Construction(
+        name="toffoli" if toffoli else "autoccz",
+        circuit=Circuit(12, tuple(ops), ("?", "?", "?") + ("+",) * 9),
+        target=GATES["CCX"] if toffoli else TARGETS["CCZ"],
+        output_qubits=(0, 1, 2),
+        routing_qubits=tuple(w for pair, *_ in _RING_PAIRS for w in pair),
+    )
 
 
 def build_autoccz() -> Construction:
-    """CCZ on qubits 0, 1, 2 consumed from the ring resource using only
-    measurements whose bases depend on earlier outcomes."""
-    ops = _autoccz_ops() + tuple(FrameUpdate(wire, "Z", cond)
-                                 for wire, cond in _AUTOCCZ_Z_FRAMES.items())
-    inits = ("?", "?", "?") + ("+",) * 9
-    return Construction(
-        name="autoccz",
-        circuit=Circuit(12, ops, inits),
-        target=CCZ_MATRIX,
-        input_qubits=(0, 1, 2),
-        output_qubits=(0, 1, 2),
-        routing_qubits=(4, 5, 7, 8, 10, 11),
-    )
+    """CCZ on qubits 0, 1, 2 from the ring resource."""
+    return _ring_construction(toffoli=False)
 
 
 def build_toffoli_from_ccz() -> Construction:
-    """Toffoli with target qubit 2, from the ring CCZ conjugated by H.
-
-    Z frames on the target commute through the trailing H as X frames.
-    """
-    ops = [Gate("H", (2,)), *_autoccz_ops(), Gate("H", (2,))]
-    for wire, cond in _AUTOCCZ_Z_FRAMES.items():
-        ops.append(FrameUpdate(wire, "X" if wire == 2 else "Z", cond))
-    inits = ("?", "?", "?") + ("+",) * 9
-    return Construction(
-        name="toffoli",
-        circuit=Circuit(12, tuple(ops), inits),
-        target=CCX_MATRIX,
-        input_qubits=(0, 1, 2),
-        output_qubits=(0, 1, 2),
-        routing_qubits=(4, 5, 7, 8, 10, 11),
-    )
+    """Toffoli with target qubit 2, from the ring CCZ conjugated by H."""
+    return _ring_construction(toffoli=True)
 
 
 # Wires of the two-branch multiplexed delayed-choice CZ, per side:
@@ -169,7 +164,7 @@ def build_toffoli_from_ccz() -> Construction:
 # pairs, yA/yB = demultiplexer poles, o = merged output.
 _MUX_SIDE = {"a": 0, "eA": 1, "xA": 2, "eB": 3, "xB": 4,
              "yA": 5, "yB": 6, "o": 7}
-_MUX_L = {k: v for k, v in _MUX_SIDE.items()}
+_MUX_L = _MUX_SIDE
 _MUX_R = {k: v + 8 for k, v in _MUX_SIDE.items()}
 
 # Frozen frame tables, solved from the branch enumeration during
@@ -237,8 +232,7 @@ def build_multiplexed_cz(apply: bool) -> Construction:
     return Construction(
         name="mux-apply" if apply else "mux-skip",
         circuit=Circuit(16, _mux_ops(apply), tuple(inits)),
-        target=CZ_MATRIX if apply else IDENTITY2,
-        input_qubits=(_MUX_L["a"], _MUX_R["a"]),
+        target=TARGETS["CZ" if apply else "I2"],
         output_qubits=(_MUX_L["o"], _MUX_R["o"]),
         routing_qubits=routing,
     )
@@ -285,34 +279,36 @@ class AdderSpec:
     toffoli_count: int
 
 
-def _ccx(a: int, b: int, t: int) -> tuple:
-    return (Gate("H", (t,)), Gate("CCZ", (a, b, t)), Gate("H", (t,)))
+def _on(block: tuple, wires: tuple[int, ...]) -> list:
+    """The gates of a three-wire block, wire j relabelled onto
+    ``wires[j]``."""
+    return [Gate(g.name, tuple(wires[q] for q in g.qubits)) for g in block]
 
 
 def build_cuccaro_adder(bits: int) -> tuple[Circuit, AdderSpec]:
-    """In-place ripple-carry adder with a fused apex: one CCZ per Toffoli
-    of ``scheduler.adder_toffolis`` for an m-bit target register, which
-    is also its serial measurement depth."""
+    """In-place ripple-carry adder: stage k is the MAJ block, and later
+    the UMA block, on wires (carry[k], t[k], i[k]). The last stage is
+    fused into the apex, whose Toffoli computes the top sum bit: one CCZ
+    per Toffoli of ``scheduler.adder_toffolis`` for an m-bit target
+    register, which is also its serial measurement depth."""
     m = bits
     if m < 2:
         raise ValueError("adder needs at least 2 bits")
     t = [1 + 2 * k for k in range(m - 1)] + [2 * m - 1]
     i = [2 + 2 * k for k in range(m - 1)]
     carry = [0] + i[:-1]
+    stage = [(carry[k], t[k], i[k]) for k in range(m - 1)]
+    maj, uma = build_maj().operations, build_uma().operations
     ops: list = []
-    for k in range(m - 1):
-        ops.append(Gate("CX", (i[k], t[k])))
-        ops.append(Gate("CX", (i[k], carry[k])))
-        if k < m - 2:
-            ops.extend(_ccx(carry[k], t[k], i[k]))
-    ops.extend(_ccx(carry[m - 2], t[m - 2], t[m - 1]))
+    for k in range(m - 2):
+        ops += _on(maj, stage[k])
+    apex = stage[m - 2]
+    ops += _on(maj[:2], apex)
+    ops += _on(maj[2:], apex[:2] + (t[m - 1],))  # its Toffoli onto t[m-1]
     ops.append(Gate("CX", (i[m - 2], t[m - 1])))
-    ops.append(Gate("CX", (i[m - 2], carry[m - 2])))
-    ops.append(Gate("CX", (carry[m - 2], t[m - 2])))
+    ops += _on(uma[-2:], apex)
     for k in range(m - 3, -1, -1):
-        ops.extend(_ccx(carry[k], t[k], i[k]))
-        ops.append(Gate("CX", (i[k], carry[k])))
-        ops.append(Gate("CX", (carry[k], t[k])))
+        ops += _on(uma, stage[k])
     circuit = Circuit(2 * m, tuple(ops))
     spec = AdderSpec(
         bits=m,

@@ -15,9 +15,10 @@ evaluating it and comparing with its targets. The hand-drawn diagrams of
 the constructions and the circuit-to-diagram translator live in the
 tests (tests/test_zx.py), their only user.
 
-The Hadamard and the CZ and CCZ targets are the matrices of
-``circuits.gates.GATES``, and the boundary Paulis are applied by
-``circuits.gates.apply_pauli``, the same code the statevector checks use.
+The Hadamard is the matrix of ``circuits.gates.GATES``, the named
+targets are the constructions' own table (``constructions.TARGETS``),
+and the boundary Paulis are applied by ``circuits.gates.apply_pauli``,
+the same code the statevector checks use.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 
 from .circuits.gates import GATES, apply_pauli
 from .circuits.simulate import ATOL, MAX_KRAUS_VALUES, scalar_deviations
+from .constructions import TARGETS
 from .exceptions import CapacityError
 
 KINDS = ("z", "x", "h", "b", "choice")
@@ -277,13 +279,6 @@ def graph_from_json(doc: dict) -> ZxGraph:
     g.outputs = [_json_int(x, "output") for x in doc["outputs"]]
     g.validate()
     return g
-
-
-TARGETS: dict[str, np.ndarray] = {
-    "I2": np.eye(4, dtype=np.complex128),
-    "CZ": GATES["CZ"],
-    "CCZ": GATES["CCZ"],
-}
 
 
 def run_fixture(text: str) -> list[tuple[str, bool]]:

@@ -692,9 +692,8 @@ def test_distinct_rows_match_lexsort(count, seed):
 
 
 def test_distinct_rows_look_past_an_equal_sample():
-    """Rows of 16384 words are first compared on every 17th word: rows
-    whose samples are equal are still told apart by a word off the
-    sample, or by the sign of a zero alone, and equal rows still merge."""
+    """Rows of 16384 words that differ in one word, or by the sign of a
+    zero alone, are told apart, and equal rows still merge."""
     rng = np.random.default_rng(3)
     base = rng.normal(size=8192) + 1j * rng.normal(size=8192)
     base[1] = complex(0.0, base[1].imag)

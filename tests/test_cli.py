@@ -139,6 +139,21 @@ def test_flags_a_command_does_not_read_are_refused(tmp_path, capsys, argv):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("schedule", "--m", "1000", "--sides", "1"), "--sides needs --lookup"),
+    (("layout", "--rows", "10", "--factories", "3"),
+     "--factories needs --m"),
+])
+def test_flags_a_mode_does_not_read_are_refused(tmp_path, capsys, argv,
+                                                message):
+    """A flag that only the command's other mode reads is a usage error,
+    not a value silently dropped, and nothing is written."""
+    out_file = tmp_path / "out.json"
+    code, out, err = run(capsys, *argv, "--out", str(out_file))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_file.exists()
+
+
 # ------------------------------------------------------------- verify
 
 
@@ -189,13 +204,30 @@ def test_verify_zx_fixture(capsys):
     assert "PASS zx I2 [11=z,12=z]" in out
 
 
+def test_verify_without_zx_loads_no_zx_checker():
+    """`verify` imports the ZX checker only for `--zx`."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from latticeplan import cli\n"
+        "assert cli.main(['verify', 'cz-apply', '--random-count', '1']) == 0\n"
+        "print(' '.join(sorted(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
+    assert "latticeplan.constructions" in loaded
+    assert "latticeplan.zx" not in loaded
+
+
 def test_verify_fail_line_names_the_first_failing_outcome(monkeypatch,
                                                           capsys):
     """A construction checked against the wrong target fails, and its
     line names the first failing outcome string after the counts."""
     from latticeplan import constructions
     good = constructions.CONSTRUCTIONS["cz-apply"]()
-    broken = dataclasses.replace(good, target=constructions.IDENTITY2)
+    broken = dataclasses.replace(good, target=constructions.TARGETS["I2"])
     monkeypatch.setitem(constructions.CONSTRUCTIONS, "cz-apply",
                         lambda: broken)
     monkeypatch.delenv("LATTICEPLAN_SEED", raising=False)

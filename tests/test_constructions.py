@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticeplan import constructions as C
-from latticeplan.circuits import (CGate, Circuit, Gate, basis_inputs,
-                                  check_channel, enumerate_branches,
+from latticeplan.circuits import (GATES, CGate, Circuit, FrameUpdate, Gate,
+                                  Measure, basis_inputs, check_channel,
+                                  enumerate_branches, parse_condition,
                                   run_reversible_table)
 
 
@@ -355,3 +356,162 @@ def test_io_declared_consistently(name):
     assert set(cons.output_qubits) == set(circuit.surviving_qubits)
     for q in cons.routing_qubits:
         assert q in circuit.measured_qubits
+
+
+# ------------------------------------------------- hand-written references
+#
+# Each construction written out op by op, with no block shared between
+# them or with the builders, which must match them op for op.
+
+def _ref_delayed_choice_cz(apply):
+    ops = [Gate("CZ", (2, 3)), Gate("CX", (0, 2)), Gate("CX", (1, 3))]
+    if apply:
+        ops += [Measure(2, "m1", "z"), Measure(3, "m2", "z"),
+                FrameUpdate(0, "Z", parse_condition("m2")),
+                FrameUpdate(1, "Z", parse_condition("m1"))]
+    else:
+        ops += [Measure(2, "m1", "x"), Measure(3, "m2", "x"),
+                FrameUpdate(0, "Z", parse_condition("m1")),
+                FrameUpdate(1, "Z", parse_condition("m2"))]
+    return (Circuit(4, tuple(ops), ("?", "?", "+", "+")),
+            GATES["CZ"] if apply else np.eye(4, dtype=np.complex128),
+            (0, 1), (0, 1), (2, 3))
+
+
+_REF_FRAMES = {
+    0: "u1 ^ m3&u1 ^ m3&u2 ^ u6 ^ m2&u6 ^ m2&u5 ^ m3&m2",
+    1: "u2 ^ m3&u2 ^ m3&u1 ^ u3 ^ m1&u3 ^ m1&u4 ^ m3&m1",
+    2: "u4 ^ m1&u4 ^ m1&u3 ^ u5 ^ m2&u5 ^ m2&u6 ^ m1&m2",
+}
+
+
+def _ref_ring_ops():
+    ops = [Gate("CCZ", (3, 6, 9))]
+    ops += [Gate("CZ", (w, w + 1)) for w in range(3, 11)]
+    ops += [Gate("CZ", (11, 3)),
+            Gate("CX", (0, 3)), Gate("CX", (1, 6)), Gate("CX", (2, 9)),
+            Measure(3, "m1", "z"), Measure(6, "m2", "z"),
+            Measure(9, "m3", "z")]
+    for pair, key, ukeys in (((4, 5), "m3", ("u1", "u2")),
+                             ((7, 8), "m1", ("u3", "u4")),
+                             ((10, 11), "m2", ("u5", "u6"))):
+        flip = parse_condition(key)
+        ops += [Measure(pair[0], ukeys[0], "z", flip),
+                Measure(pair[1], ukeys[1], "z", flip)]
+    return ops
+
+
+def _ref_autoccz():
+    ops = _ref_ring_ops() + [FrameUpdate(w, "Z", parse_condition(c))
+                             for w, c in _REF_FRAMES.items()]
+    return (Circuit(12, tuple(ops), ("?",) * 3 + ("+",) * 9), GATES["CCZ"],
+            (0, 1, 2), (0, 1, 2), (4, 5, 7, 8, 10, 11))
+
+
+def _ref_toffoli():
+    ops = [Gate("H", (2,)), *_ref_ring_ops(), Gate("H", (2,))]
+    ops += [FrameUpdate(w, "X" if w == 2 else "Z", parse_condition(c))
+            for w, c in _REF_FRAMES.items()]
+    return (Circuit(12, tuple(ops), ("?",) * 3 + ("+",) * 9), GATES["CCX"],
+            (0, 1, 2), (0, 1, 2), (4, 5, 7, 8, 10, 11))
+
+
+_REF_MUX_FRAMES = {
+    True: ((7, "X", "gla ^ ela ^ yla"), (7, "Z", "fl ^ era"),
+           (15, "X", "gra ^ era ^ yra"), (15, "Z", "fr ^ ela")),
+    False: ((7, "X", "glb ^ elb ^ ylb"), (7, "Z", "fl ^ ela ^ yla"),
+            (15, "X", "grb ^ erb ^ yrb"), (15, "Z", "fr ^ era ^ yra")),
+}
+
+
+def _ref_mux(apply):
+    # per side: a, eA, xA, eB, xB, yA, yB, o on wires 0..7 (left), 8..15
+    sides = [dict(zip(("a", "eA", "xA", "eB", "xB", "yA", "yB", "o"),
+                      range(base, base + 8))) for base in (0, 8)]
+    L, R = sides
+    ops = []
+    for s in sides:
+        ops += [Gate("CX", (s["xA"], s["eA"])), Gate("CX", (s["xB"], s["eB"]))]
+    ops.append(Gate("CZ", (L["xA"], R["xA"])))
+    for s in sides:
+        ops += [Gate("CX", (s["a"], s["eA"])), Gate("CX", (s["a"], s["eB"]))]
+    ops += [Measure(L["a"], "fl", "x"), Measure(R["a"], "fr", "x")]
+    for s in sides:
+        ops += [Gate("CX", (s["yA"], s["xA"])), Gate("CX", (s["yB"], s["xB"]))]
+    for s in sides:
+        ops += [Gate("CX", (s["o"], s["xA"])), Gate("CX", (s["o"], s["xB"]))]
+    ops += [Measure(L["xA"], "gla", "z"), Measure(L["xB"], "glb", "z"),
+            Measure(R["xA"], "gra", "z"), Measure(R["xB"], "grb", "z")]
+    live, dead = ("z", "x") if apply else ("x", "z")
+    ops += [Measure(L["eA"], "ela", live), Measure(L["eB"], "elb", dead),
+            Measure(L["yA"], "yla", live), Measure(L["yB"], "ylb", dead),
+            Measure(R["eA"], "era", live), Measure(R["eB"], "erb", dead),
+            Measure(R["yA"], "yra", live), Measure(R["yB"], "yrb", dead)]
+    ops += [FrameUpdate(q, p, parse_condition(c))
+            for q, p, c in _REF_MUX_FRAMES[apply]]
+    inits = ("?", "0", "+", "0", "+", "+", "+", "+") * 2
+    return (Circuit(16, tuple(ops), inits),
+            GATES["CZ"] if apply else np.eye(4, dtype=np.complex128),
+            (0, 8), (7, 15), (1, 3, 5, 6, 9, 11, 13, 14))
+
+
+REFERENCES = {
+    "cz-apply": lambda: _ref_delayed_choice_cz(True),
+    "cz-skip": lambda: _ref_delayed_choice_cz(False),
+    "autoccz": _ref_autoccz,
+    "toffoli": _ref_toffoli,
+    "mux-apply": lambda: _ref_mux(True),
+    "mux-skip": lambda: _ref_mux(False),
+}
+
+
+def _ref_cuccaro_adder(m):
+    def ccx(a, b, t):
+        return [Gate("H", (t,)), Gate("CCZ", (a, b, t)), Gate("H", (t,))]
+    t = [1 + 2 * k for k in range(m - 1)] + [2 * m - 1]
+    i = [2 + 2 * k for k in range(m - 1)]
+    carry = [0] + i[:-1]
+    ops = []
+    for k in range(m - 1):
+        ops += [Gate("CX", (i[k], t[k])), Gate("CX", (i[k], carry[k]))]
+        if k < m - 2:
+            ops += ccx(carry[k], t[k], i[k])
+    ops += ccx(carry[m - 2], t[m - 2], t[m - 1])
+    ops += [Gate("CX", (i[m - 2], t[m - 1])),
+            Gate("CX", (i[m - 2], carry[m - 2])),
+            Gate("CX", (carry[m - 2], t[m - 2]))]
+    for k in range(m - 3, -1, -1):
+        ops += ccx(carry[k], t[k], i[k])
+        ops += [Gate("CX", (i[k], carry[k])), Gate("CX", (carry[k], t[k]))]
+    spec = C.AdderSpec(bits=m, num_qubits=2 * m, c_wire=0, t_wires=tuple(t),
+                       i_wires=tuple(i), toffoli_count=2 * m - 3)
+    return Circuit(2 * m, tuple(ops)), spec
+
+
+@pytest.mark.parametrize("name", sorted(C.CONSTRUCTIONS))
+def test_construction_matches_its_reference_op_for_op(name):
+    cons = C.CONSTRUCTIONS[name]()
+    circuit, target, inputs, outputs, routing = REFERENCES[name]()
+    assert cons.name == name
+    assert cons.circuit.num_qubits == circuit.num_qubits
+    assert cons.circuit.operations == circuit.operations
+    assert cons.circuit.initial_states == circuit.initial_states
+    assert cons.target.dtype == target.dtype
+    assert cons.target.shape == target.shape
+    assert cons.target.tobytes() == target.tobytes()
+    assert (cons.input_qubits, cons.output_qubits, cons.routing_qubits) \
+        == (inputs, outputs, routing)
+
+
+def test_adder_matches_its_reference_op_for_op():
+    for m in range(2, 201):
+        assert C.build_cuccaro_adder(m) == _ref_cuccaro_adder(m), m
+
+
+def test_targets_are_one_table():
+    """The constructions' target names and the ZX fixture's are one
+    table."""
+    from latticeplan import zx
+    assert zx.TARGETS is C.TARGETS
+    assert C.CZ_MATRIX is C.TARGETS["CZ"]
+    assert C.CCZ_MATRIX is C.TARGETS["CCZ"]

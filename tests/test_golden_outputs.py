@@ -100,7 +100,16 @@ def test_outputs_match_the_manifest(tmp_path, monkeypatch):
     monkeypatch.delenv("LATTICEPLAN_SEED", raising=False)
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
     assert [tuple(e["argv"]) for e in manifest] == list(ARGVS)
-    for entry in manifest:
-        got = outputs(tuple(entry["argv"]), tmp_path)
-        assert got == {k: v for k, v in entry.items() if k != "argv"}, \
-            entry["argv"]
+    # every argv runs, each in a directory of its own, and one failure
+    # names all whose digests differ or whose command exits nonzero
+    differ = []
+    for n, entry in enumerate(manifest):
+        tmp = tmp_path / str(n)
+        tmp.mkdir()
+        try:
+            got = outputs(tuple(entry["argv"]), tmp)
+        except AssertionError:  # the exit code was not 0
+            got = None
+        if got != {k: v for k, v in entry.items() if k != "argv"}:
+            differ.append(" ".join(entry["argv"]))
+    assert not differ, "outputs differ for:\n" + "\n".join(differ)
