@@ -204,23 +204,6 @@ def test_verify_zx_fixture(capsys):
     assert "PASS zx I2 [11=z,12=z]" in out
 
 
-def test_verify_without_zx_loads_no_zx_checker():
-    """`verify` imports the ZX checker only for `--zx`."""
-    src = pathlib.Path(cli.__file__).resolve().parents[1]
-    script = (
-        "import sys\n"
-        f"sys.path.insert(0, {str(src)!r})\n"
-        "from latticeplan import cli\n"
-        "assert cli.main(['verify', 'cz-apply', '--random-count', '1']) == 0\n"
-        "print(' '.join(sorted(sys.modules)))\n")
-    done = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    loaded = done.stdout.split()
-    assert "latticeplan.constructions" in loaded
-    assert "latticeplan.zx" not in loaded
-
-
 def test_verify_fail_line_names_the_first_failing_outcome(monkeypatch,
                                                           capsys):
     """A construction checked against the wrong target fails, and its
@@ -716,3 +699,20 @@ def test_schedule_and_layout_load_no_circuit_code():
     for name in ("latticeplan.circuits", "latticeplan.constructions",
                  "latticeplan.zx"):
         assert name not in loaded
+
+
+def test_verify_without_zx_loads_no_zx_checker():
+    """`verify` imports the ZX checker only for `--zx`."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from latticeplan import cli\n"
+        "assert cli.main(['verify', 'cz-apply', '--random-count', '1']) == 0\n"
+        "print(' '.join(sorted(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
+    assert "latticeplan.constructions" in loaded
+    assert "latticeplan.zx" not in loaded
